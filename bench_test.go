@@ -312,7 +312,7 @@ func BenchmarkSession(b *testing.B) {
 			b.Fatal(err)
 		}
 		rw := &bytes.Buffer{}
-		c, err := session.NewConn(rw, session.Fixed(proto.Graph))
+		c, err := session.NewConn(rw, session.Fixed(proto.Graph), session.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -70,7 +70,7 @@ func NewSessionWith(rw io.ReadWriter, rot *Rotation, opts SessionOptions) (*Sess
 	if err := rot.Attach(rekey); err != nil {
 		return nil, err
 	}
-	s, err := session.NewConnOpts(rw, rot, session.Options{
+	s, err := session.NewConn(rw, rot, session.Options{
 		Schedule:    opts.Schedule,
 		RekeyEvery:  opts.RekeyEvery,
 		CacheWindow: opts.CacheWindow,
@@ -92,7 +92,7 @@ func NewSessionWith(rw io.ReadWriter, rot *Rotation, opts SessionOptions) (*Sess
 // session of a rotating endpoint via Endpoint.Session(rw,
 // WithStaticProtocol(p)).
 func NewStaticSession(rw io.ReadWriter, p *Protocol) (*Session, error) {
-	return session.NewConn(rw, session.Fixed(p.Graph))
+	return session.NewConn(rw, session.Fixed(p.Graph), session.Options{})
 }
 
 // NewSessionPair connects two in-memory session peers, each compiled
@@ -128,7 +128,7 @@ func NewSessionPairWith(source string, opts Options, sopts SessionOptions) (*Ses
 		RekeyEvery:  sopts.RekeyEvery,
 		CacheWindow: sopts.CacheWindow,
 	}
-	x, y, err := session.PairOpts(a, b, o, o)
+	x, y, err := session.Pair(a, b, o, o)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -8,7 +8,6 @@ import (
 	"net"
 	"sync"
 
-	"protoobf/internal/session"
 	"protoobf/internal/session/dgram"
 )
 
@@ -61,14 +60,9 @@ func (ep *Endpoint) PacketSession(rw io.ReadWriter, o ...SessionOption) (*Packet
 	if err != nil {
 		return nil, err
 	}
-	var versions session.Versioner
-	switch {
-	case cfg.static != nil:
-		versions = session.Fixed(cfg.static.Graph)
-	case ep.rot == nil:
-		return nil, errors.New("protoobf: static endpoint has no dialect family; packet sessions need WithStaticProtocol")
-	default:
-		versions = ep.rot.View()
+	versions, err := ep.versioner(cfg)
+	if err != nil {
+		return nil, err
 	}
 	return dgram.NewConn(rw, versions, ep.packetOpts(cfg))
 }
@@ -100,7 +94,8 @@ func (ep *Endpoint) packetConfig(o []SessionOption) (settings, error) {
 }
 
 // packetOpts maps a layered configuration onto the datagram layer's
-// option struct, wiring in the endpoint's shared packet counters.
+// option struct, wiring in the endpoint's shared packet counters,
+// latency histograms and trace ring.
 func (ep *Endpoint) packetOpts(cfg settings) dgram.Options {
 	var opts dgram.Options
 	opts.Schedule = cfg.schedule
@@ -117,6 +112,7 @@ func (ep *Endpoint) packetOpts(cfg settings) dgram.Options {
 		opts.CacheWindow = *cfg.cacheWindow
 	}
 	opts.Stats = &ep.dgramStats
+	opts.Latency = &ep.latency
 	opts.Trace = ep.trace
 	opts.TraceID = ep.trace.NextSession()
 	return opts

@@ -132,7 +132,8 @@ func WithRekeyEvery(n uint64) Option {
 // a session since its last rekey boundary — the ScrambleSuit-style
 // volume trigger: heavy sessions rotate their seed family by traffic
 // volume, not just on the epoch clock, bounding how much wire material
-// any one family covers. n = 0 (the default) disables the trigger. It
+// any one family covers. Cover frames do not count: receivers discard
+// them uncounted. n = 0 (the default) disables the trigger. It
 // composes with WithRekeyEvery; whichever fires first proposes. Each
 // session rekeys its own view, so the option is safe on endpoints
 // serving many sessions.
@@ -303,18 +304,26 @@ func (ep *Endpoint) Session(rw io.ReadWriter, o ...SessionOption) (*Session, err
 	if err != nil {
 		return nil, err
 	}
-	var versions session.Versioner
+	versions, err := ep.versioner(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return session.NewConn(rw, versions, ep.sessionOpts(cfg))
+}
+
+// versioner resolves the dialect family a new session of cfg speaks,
+// stream or packet: the pinned static protocol, or a fresh rekey view of
+// the endpoint's rotation.
+func (ep *Endpoint) versioner(cfg settings) (session.Versioner, error) {
 	switch {
 	case cfg.static != nil:
-		versions = session.Fixed(cfg.static.Graph)
+		return session.Fixed(cfg.static.Graph), nil
 	case ep.rot == nil:
 		// A static endpoint whose per-session options cleared the
 		// static protocol: there is no family to fall back to.
 		return nil, errors.New("protoobf: static endpoint has no dialect family; sessions need WithStaticProtocol")
-	default:
-		versions = ep.rot.View()
 	}
-	return session.NewConnOpts(rw, versions, ep.sessionOpts(cfg))
+	return ep.rot.View(), nil
 }
 
 // sessionConfig layers per-session options over the endpoint defaults

@@ -86,8 +86,15 @@ func ExampleNewEndpoint() {
 	// epoch 1 delivered seqno 101
 }
 
+// messenger is the message surface stream and packet sessions share.
+type messenger interface {
+	NewMessage() (*protoobf.Message, error)
+	Send(*protoobf.Message) error
+	Recv() (*protoobf.Message, error)
+}
+
 // roundTrip sends one beacon from -> to and asserts the payload.
-func roundTrip(t *testing.T, from, to *protoobf.Session, seqno uint64) {
+func roundTrip(t *testing.T, from, to messenger, seqno uint64) {
 	t.Helper()
 	m, err := from.NewMessage()
 	if err != nil {

@@ -41,7 +41,7 @@ func FuzzWireMutation(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rx, err := session.NewConn(discardWriter{bytes.NewReader(data)}, rot.View())
+		rx, err := session.NewConn(discardWriter{bytes.NewReader(data)}, rot.View(), session.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func FuzzCoverFrame(f *testing.F) {
 	frozen := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rx, err := session.NewConn(discardWriter{bytes.NewReader(data)}, rotPlain.View())
+		rx, err := session.NewConn(discardWriter{bytes.NewReader(data)}, rotPlain.View(), session.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func FuzzCoverFrame(f *testing.F) {
 		// before unshaping, and data frames additionally cross the
 		// trailer/fragment parser. The frozen clock keeps the cover
 		// scheduler off and the pacer a no-op.
-		srx, err := session.NewConnOpts(discardWriter{bytes.NewReader(data)}, rotShaped.View(), session.Options{
+		srx, err := session.NewConn(discardWriter{bytes.NewReader(data)}, rotShaped.View(), session.Options{
 			Shape:      &profile,
 			ShapeClock: func() time.Time { return frozen },
 			ShapeSleep: func(time.Duration) {},

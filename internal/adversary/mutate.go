@@ -112,7 +112,7 @@ func baselineFrames(rot *core.Rotation, n int, seed int64) ([][]byte, error) {
 	tx, err := session.NewConn(struct {
 		io.Reader
 		io.Writer
-	}{bytes.NewReader(nil), &buf}, rot.View())
+	}{bytes.NewReader(nil), &buf}, rot.View(), session.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +218,7 @@ func feed(rot *core.Rotation, stream []byte, want int) (outcome int, reason stri
 			outcome, reason = outcomeCrash, fmt.Sprintf("panic: %v", p)
 		}
 	}()
-	rx, err := session.NewConn(discardWriter{bytes.NewReader(stream)}, rot.View())
+	rx, err := session.NewConn(discardWriter{bytes.NewReader(stream)}, rot.View(), session.Options{})
 	if err != nil {
 		return outcomeRejected, "setup"
 	}

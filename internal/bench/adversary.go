@@ -285,7 +285,7 @@ func measurePerf(ctx context.Context, cfg AdversaryConfig) (*PerfReport, error) 
 		return nil, err
 	}
 	var buf bytes.Buffer
-	steady, err := session.NewConn(&buf, session.Fixed(proto.Graph))
+	steady, err := session.NewConn(&buf, session.Fixed(proto.Graph), session.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -104,7 +104,7 @@ func RunSession(ctx context.Context, cfg SessionConfig) (*SessionResult, error) 
 		CacheWindow: cfg.Window,
 		SeedSource:  seedSource,
 	}
-	a, b, err := session.PairOpts(rotA, rotB, o, o)
+	a, b, err := session.Pair(rotA, rotB, o, o)
 	if err != nil {
 		return nil, err
 	}

@@ -130,8 +130,8 @@ func (s HistogramStats) Mean() float64 {
 // LatencyCounters holds the session-layer latency histograms of one
 // endpoint, in nanoseconds. The zero value is ready to use.
 type LatencyCounters struct {
-	// EpochBoundary times stream epoch-boundary crossings: from a
-	// session noticing its schedule moved to the new epoch's dialect
+	// EpochBoundary times epoch-boundary crossings of stream and packet
+	// sessions: from a session noticing its schedule moved to the new epoch's dialect
 	// being installed (cache hit or demand compile included).
 	EpochBoundary Histogram
 	// RekeyRTT times the rekey handshake round trip: from sending a

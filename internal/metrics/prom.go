@@ -167,7 +167,7 @@ func writeSnapshot(p *promWriter, s Snapshot) {
 
 	l := s.Latency
 	p.histogram("protoobf_epoch_boundary_seconds",
-		"Stream epoch-boundary crossing latency (schedule tick to new dialect installed).", l.EpochBoundary, 1e9)
+		"Epoch-boundary crossing latency of stream and packet sessions (schedule tick to new dialect installed).", l.EpochBoundary, 1e9)
 	p.histogram("protoobf_rekey_rtt_seconds",
 		"Rekey handshake round trip (proposal sent to ack processed).", l.RekeyRTT, 1e9)
 	p.histogram("protoobf_resume_rtt_seconds",

@@ -12,10 +12,8 @@ import (
 
 	"protoobf/internal/frame"
 	"protoobf/internal/graph"
-	"protoobf/internal/lru"
 	"protoobf/internal/metrics"
 	"protoobf/internal/msgtree"
-	"protoobf/internal/rng"
 	"protoobf/internal/session/sched"
 	"protoobf/internal/session/shape"
 	"protoobf/internal/trace"
@@ -101,6 +99,8 @@ type Options struct {
 	// ScrambleSuit-style volume trigger: a session that moves a lot of
 	// data rotates its seed family by traffic volume, not just by
 	// epoch count, bounding how much ciphertext any one family covers.
+	// Cover frames do not count: the receiver discards them uncounted,
+	// so counting them on the sending side would split the odometers.
 	// It composes with RekeyEvery; whichever trigger fires first
 	// proposes, and one proposal in flight gates both. Requires a
 	// Versioner implementing Rekeyer.
@@ -204,9 +204,10 @@ type Options struct {
 // Conn is safe for concurrent Send, Recv, NewMessage, Advance and Rekey
 // calls.
 type Conn struct {
-	t        *Transport
-	rw       io.ReadWriter // the underlying stream, closed by Close when it can be
-	versions Versioner
+	t  *Transport
+	rw io.ReadWriter // the underlying stream, closed by Close when it can be
+
+	ec EpochCore // epoch state shared with the datagram transport; raises t's epoch
 
 	// MaxEpochLead is the highest accepted distance between an incoming
 	// frame's epoch and the current epoch (default DefaultMaxEpochLead).
@@ -214,23 +215,19 @@ type Conn struct {
 	// schedule epoch, so a long partition does not trip the bound.
 	MaxEpochLead uint64
 
-	schedule        *sched.Scheduler
 	rekeyEvery      uint64
 	rekeyAfterBytes uint64
 	seedSource      func() (int64, error)
-	cacheWindow     int    // resolved lru window (0 = unbounded), the ticket's cache hint
 	resumeWindow    uint64 // ticket lifetime in epochs (acceptor side)
 	resumeStats     *metrics.ResumeCounters
 
-	// bytesMoved counts framed traffic in both directions (payload plus
-	// epoch header), the odometer behind the volume rekey trigger. It is
-	// atomic so Send and Recv bump it without sharing a lock.
+	// bytesMoved counts framed data traffic in both directions (payload
+	// plus epoch header; covers excluded), the odometer behind the volume
+	// rekey trigger. It is atomic so Send and Recv bump it without
+	// sharing a lock.
 	bytesMoved atomic.Uint64
 
-	mu            sync.Mutex // guards dialects, byGraph, mrng and rekey state
-	dialects      *lru.Cache[uint64, *graph.Graph]
-	byGraph       map[*graph.Graph]uint64
-	mrng          *rng.R
+	mu            sync.Mutex // guards rekey and migration state
 	pending       *rekeyProposal
 	abandoned     *rekeyProposal // unacked proposal the schedule outran; honored if its ack arrives late
 	lastRekeyFrom uint64
@@ -275,12 +272,6 @@ type Conn struct {
 	stopCover     chan struct{} // closed by stopCoverLoop; nil without a cover goroutine
 	coverDone     chan struct{} // closed when the cover goroutine has exited
 	stopCoverOnce sync.Once
-
-	// Observability (see Options.Latency/Trace): lat receives latency
-	// histograms, tr lifecycle events labeled traceID. Both nil-safe.
-	lat     *metrics.LatencyCounters
-	tr      *trace.Ring
-	traceID uint64
 }
 
 // rekeyProposal is an in-flight rekey handshake: we proposed switching
@@ -309,24 +300,19 @@ func (p *rekeyProposal) matches(from uint64, seed int64) bool {
 // it acked), so the two sides reconverge.
 const rekeyAbandonLead = 8
 
-// NewConn opens a session over rw with default options (manual
-// rotation, default cache window). The epoch-0 dialect is compiled (or
-// fetched from the Versioner's cache) eagerly so configuration errors
-// surface here rather than on the first message.
-func NewConn(rw io.ReadWriter, versions Versioner) (*Conn, error) {
-	return NewConnOpts(rw, versions, Options{})
-}
-
-// NewConnOpts opens a session over rw with an explicit control-plane
-// configuration. With a Schedule, the session adopts the schedule's
-// current wall-clock epoch before returning, so its first frames already
-// speak the fleet-wide dialect.
-func NewConnOpts(rw io.ReadWriter, versions Versioner, opts Options) (*Conn, error) {
+// NewConn opens a session over rw; the zero Options give a manually
+// rotated session with the default cache window. The epoch-0 dialect is
+// compiled (or fetched from the Versioner's cache) eagerly so
+// configuration errors surface here rather than on the first message.
+// With a Schedule, the session adopts the schedule's current wall-clock
+// epoch before returning, so its first frames already speak the
+// fleet-wide dialect.
+func NewConn(rw io.ReadWriter, versions Versioner, opts Options) (*Conn, error) {
 	if err := validateShape(opts); err != nil {
 		return nil, err
 	}
 	c := newConn(rw, versions, opts)
-	if _, err := c.dialect(0); err != nil {
+	if _, err := c.ec.Dialect(0); err != nil {
 		return nil, err
 	}
 	if err := c.syncSchedule(); err != nil {
@@ -336,7 +322,7 @@ func NewConnOpts(rw io.ReadWriter, versions Versioner, opts Options) (*Conn, err
 	// constructor that fails must not leave a goroutine writing decoys
 	// into the stream.
 	c.startCover(opts)
-	c.tr.Emit(c.traceID, trace.KindSessionOpen, c.Epoch(), "")
+	c.ec.Emit(trace.KindSessionOpen, c.Epoch(), "")
 	return c, nil
 }
 
@@ -358,15 +344,9 @@ func validateShape(opts Options) error {
 }
 
 // newConn builds a session without bringing up any dialect or adopting
-// the schedule — the construction half shared by NewConnOpts (which
+// the schedule — the construction half shared by NewConn (which
 // starts at epoch 0) and ResumeConn (which starts at a ticket's epoch).
 func newConn(rw io.ReadWriter, versions Versioner, opts Options) *Conn {
-	window := opts.CacheWindow
-	if window == 0 {
-		window = DefaultCacheWindow
-	} else if window < 0 {
-		window = 0 // lru: unbounded
-	}
 	lead := opts.MaxEpochLead
 	if lead == 0 {
 		lead = DefaultMaxEpochLead
@@ -382,37 +362,23 @@ func newConn(rw io.ReadWriter, versions Versioner, opts Options) *Conn {
 	c := &Conn{
 		t:               NewTransport(rw),
 		rw:              rw,
-		versions:        versions,
 		MaxEpochLead:    lead,
-		schedule:        opts.Schedule,
 		rekeyEvery:      opts.RekeyEvery,
 		rekeyAfterBytes: opts.RekeyAfterBytes,
 		seedSource:      seedSource,
-		cacheWindow:     window,
 		resumeWindow:    resumeWindow,
 		resumeStats:     opts.ResumeStats,
 		replay:          opts.Replay,
 		reissue:         opts.ReissueTickets,
-		byGraph:         make(map[*graph.Graph]uint64),
-		mrng:            rng.New(0x5e5510),
 		wbuf:            frame.GetBuffer(),
 		rbuf:            frame.GetBuffer(),
 		shapeStats:      opts.ShapeStats,
-		lat:             opts.Latency,
-		tr:              opts.Trace,
-		traceID:         opts.TraceID,
 	}
+	c.ec.Init("session", versions, &c.t.epoch, 0, opts)
 	if opts.Shape != nil {
 		c.shaper = newShaper(opts, versions)
 	}
 	c.t.maxLead = lead
-	// The eviction hook keeps the reverse index in step with the window;
-	// it runs under c.mu (all cache mutation does).
-	c.dialects = lru.New[uint64, *graph.Graph](window, func(epoch uint64, g *graph.Graph) {
-		if c.byGraph[g] == epoch {
-			delete(c.byGraph, g)
-		}
-	})
 	return c
 }
 
@@ -443,7 +409,7 @@ func (c *Conn) Release() {
 // stream the caller keeps owning can keep using Release instead. The
 // session must not be used after Close.
 func (c *Conn) Close() error {
-	c.tr.Emit(c.traceID, trace.KindSessionClose, c.Epoch(), "")
+	c.ec.Emit(trace.KindSessionClose, c.Epoch(), "")
 	var err error
 	if cl, ok := c.rw.(io.Closer); ok {
 		err = cl.Close()
@@ -455,32 +421,11 @@ func (c *Conn) Close() error {
 // Epoch returns the current send epoch (lock-free).
 func (c *Conn) Epoch() uint64 { return c.t.Epoch() }
 
-// BytesMoved returns the framed traffic this session has moved in both
-// directions (payloads plus epoch headers) — the odometer behind the
-// Options.RekeyAfterBytes volume trigger. Lock-free.
+// BytesMoved returns the framed data traffic this session has moved in
+// both directions (payloads plus epoch headers; cover frames do not
+// count) — the odometer behind the Options.RekeyAfterBytes volume
+// trigger. Lock-free.
 func (c *Conn) BytesMoved() uint64 { return c.bytesMoved.Load() }
-
-// dialect fetches the graph of epoch through the bounded cache and
-// records it so Send can recover the epoch a message was composed for.
-// Compilation happens outside c.mu: it costs real CPU and the Versioner
-// (core.Rotation) serializes concurrent compiles itself.
-func (c *Conn) dialect(epoch uint64) (*graph.Graph, error) {
-	c.mu.Lock()
-	if g, ok := c.dialects.Get(epoch); ok {
-		c.mu.Unlock()
-		return g, nil
-	}
-	c.mu.Unlock()
-	g, err := c.versions.Graph(epoch)
-	if err != nil {
-		return nil, fmt.Errorf("session: epoch %d: %w", epoch, err)
-	}
-	c.mu.Lock()
-	c.dialects.Put(epoch, g)
-	c.byGraph[g] = epoch
-	c.mu.Unlock()
-	return g, nil
-}
 
 // horizon returns the epoch to measure frame plausibility against: the
 // send epoch, or the schedule's current epoch when that is ahead. A
@@ -490,55 +435,46 @@ func (c *Conn) dialect(epoch uint64) (*graph.Graph, error) {
 // mistaken for a forged far-future epoch.
 func (c *Conn) horizon() uint64 {
 	cur := c.Epoch()
-	if c.schedule != nil {
-		if se := c.schedule.Epoch(); se > cur {
+	if c.ec.schedule != nil {
+		if se := c.ec.schedule.Epoch(); se > cur {
 			cur = se
 		}
 	}
 	return cur
 }
 
-// syncSchedule adopts the schedule's current epoch as the send epoch —
-// except across a pending rekey boundary, which is only crossed once the
-// peer acks (neither side sends under the new dialect before the
-// handshake completes). It then proposes an automatic rekey when one is
-// due. No-op without a schedule.
+// syncSchedule adopts the schedule's epoch through gateRekey, then
+// proposes an automatic rekey when one is due. No-op without a schedule.
 func (c *Conn) syncSchedule() error {
-	if c.schedule == nil {
+	if c.ec.schedule == nil {
 		return nil
 	}
-	if before := c.Epoch(); c.schedule.Epoch() > before {
-		target := c.schedule.Epoch()
-		start := time.Now()
-		// Compile outside c.mu (it costs real CPU); the gate check and
-		// the epoch bump share one c.mu section with rekey's proposal
-		// registration, so a proposal cannot slip in between the check
-		// and the advance. If the gate lowers the target, that epoch was
-		// current moments ago or compiles lazily on first use.
-		if _, err := c.dialect(target); err != nil {
-			return err
-		}
-		c.mu.Lock()
-		if p := c.pending; p != nil && target >= p.from {
-			if target >= p.from+rekeyAbandonLead {
-				// The peer is not acking (not reading, or a raw
-				// Transport discarding control frames). Stop gating so
-				// rotation continues; honor the ack if it ever arrives.
-				c.abandoned, c.pending = p, nil
-			} else {
-				target = p.from - 1
-			}
-		}
-		c.t.Advance(target)
-		c.mu.Unlock()
-		if target > before {
-			if c.lat != nil {
-				c.lat.EpochBoundary.ObserveDuration(time.Since(start))
-			}
-			c.tr.Emit(c.traceID, trace.KindEpochCross, target, "")
-		}
+	if err := c.ec.AdoptSchedule(c.gateRekey); err != nil {
+		return err
 	}
 	return c.maybeAutoRekey()
+}
+
+// gateRekey raises the send epoch to a schedule target, but not across
+// a pending rekey boundary, which is crossed only once the peer acks. It
+// shares one c.mu section with rekey's proposal registration, so no
+// proposal slips in between check and raise. A lowered target was
+// current moments ago or compiles lazily on first use.
+func (c *Conn) gateRekey(target uint64) uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if p := c.pending; p != nil && target >= p.from {
+		if target >= p.from+rekeyAbandonLead {
+			// The peer is not acking (not reading, or a raw Transport
+			// discarding control frames). Stop gating so rotation
+			// continues; honor the ack if it ever arrives.
+			c.abandoned, c.pending = p, nil
+		} else {
+			target = p.from - 1
+		}
+	}
+	c.ec.Raise(target)
+	return target
 }
 
 // NewMessage returns an empty message for the current epoch's dialect
@@ -550,14 +486,7 @@ func (c *Conn) NewMessage() (*msgtree.Message, error) {
 	if err := c.syncSchedule(); err != nil {
 		return nil, err
 	}
-	g, err := c.dialect(c.Epoch())
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	r := c.mrng.Split()
-	c.mu.Unlock()
-	return msgtree.New(g, r), nil
+	return c.ec.NewMessage()
 }
 
 // Send serializes m and writes it framed under the epoch whose dialect
@@ -566,11 +495,9 @@ func (c *Conn) NewMessage() (*msgtree.Message, error) {
 // epochs ago may have had its dialect evicted, in which case Send
 // rejects it.
 func (c *Conn) Send(m *msgtree.Message) error {
-	c.mu.Lock()
-	epoch, ok := c.byGraph[m.G]
-	c.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("session: message graph %q does not belong to this session (or its epoch left the cache window)", m.G.ProtocolName)
+	epoch, err := c.ec.SendEpoch(m)
+	if err != nil {
+		return err
 	}
 	c.smu.Lock()
 	defer c.smu.Unlock()
@@ -647,13 +574,11 @@ func (c *Conn) Recv() (*msgtree.Message, error) {
 		// any fragments buffered on the way — exactly once.
 		wireBytes := uint64(len(buf)) + frame.EpochHeaderLen + c.reasmWire
 		c.reasmWire = 0
-		g, err := c.dialect(epoch)
+		g, err := c.ec.Dialect(epoch)
 		if err != nil {
 			return nil, err
 		}
-		c.mu.Lock()
-		r := c.mrng.Split()
-		c.mu.Unlock()
+		r := c.ec.Split()
 		// The parser copies terminal content out of the payload, so
 		// reusing rbuf (or the reassembly buffer) for the next frame
 		// cannot corrupt the returned message.
@@ -670,7 +595,7 @@ func (c *Conn) Recv() (*msgtree.Message, error) {
 		if p := c.pending; p != nil && follow >= p.from {
 			follow = p.from - 1
 		}
-		c.t.Advance(follow)
+		c.ec.Raise(follow)
 		c.mu.Unlock()
 		c.bytesMoved.Add(wireBytes)
 		if err := c.maybeVolumeRekey(); err != nil {
@@ -683,13 +608,7 @@ func (c *Conn) Recv() (*msgtree.Message, error) {
 // Advance raises the send epoch to epoch, compiling (and caching) its
 // dialect first so a failing epoch never becomes current. Epochs are
 // monotonic; advancing to the current epoch or below is a no-op.
-func (c *Conn) Advance(epoch uint64) error {
-	if _, err := c.dialect(epoch); err != nil {
-		return err
-	}
-	c.t.Advance(epoch)
-	return nil
-}
+func (c *Conn) Advance(epoch uint64) error { return c.ec.Advance(epoch) }
 
 // Rotate advances to the next epoch and returns it, proposing an
 // automatic rekey when one is due (Options.RekeyEvery). Scheduled
@@ -722,7 +641,7 @@ func (c *Conn) Rotate() (uint64, error) {
 // rotation, but a rekey negotiated on one connection would silently
 // switch the family under every other connection's feet.
 func (c *Conn) Rekey(seed int64) (uint64, error) {
-	if _, ok := c.versions.(Rekeyer); !ok {
+	if !c.ec.CanRekey() {
 		return 0, errors.New("session: versioner does not support rekeying")
 	}
 	from, ok, err := c.rekey(seed)
@@ -767,7 +686,7 @@ func (c *Conn) rekey(seed int64) (from uint64, ok bool, err error) {
 		c.mu.Unlock()
 		return 0, false, err
 	}
-	c.tr.Emit(c.traceID, trace.KindRekeyPropose, from, "")
+	c.ec.Emit(trace.KindRekeyPropose, from, "")
 	return from, true, nil
 }
 
@@ -779,7 +698,7 @@ func (c *Conn) maybeAutoRekey() error {
 	if c.rekeyEvery == 0 {
 		return nil
 	}
-	if _, ok := c.versions.(Rekeyer); !ok {
+	if !c.ec.CanRekey() {
 		return nil
 	}
 	c.mu.Lock()
@@ -818,7 +737,7 @@ func (c *Conn) maybeVolumeRekey() error {
 	if c.rekeyAfterBytes == 0 {
 		return nil
 	}
-	if _, ok := c.versions.(Rekeyer); !ok {
+	if !c.ec.CanRekey() {
 		return nil
 	}
 	// The odometer is read under c.mu: rekeyBase is only ever assigned
@@ -861,22 +780,8 @@ func (c *Conn) sendControl(kind byte, from uint64, seed int64) error {
 	hdrEpoch := from - 1
 	var p [controlLen]byte
 	frame.EncodeControl(p[:], from, seed)
-	c.maskControl(hdrEpoch, p[:])
+	c.ec.MaskControl(hdrEpoch, p[:])
 	return c.t.sendFrameAt(kind, hdrEpoch, p[:])
-}
-
-// maskControl XORs the deterministic pad of the frame's epoch over p.
-// Masking and unmasking are the same operation. Without a Padder the
-// payload travels in the clear.
-func (c *Conn) maskControl(epoch uint64, p []byte) {
-	pd, ok := c.versions.(Padder)
-	if !ok {
-		return
-	}
-	pad := pd.ControlPad(epoch, len(p))
-	for i := range p {
-		p[i] ^= pad[i]
-	}
 }
 
 // handleControl dispatches one control frame from the Recv loop.
@@ -925,7 +830,7 @@ func (c *Conn) handleControl(kind byte, hdrEpoch uint64, payload []byte) error {
 	if len(payload) != controlLen {
 		return fmt.Errorf("session: control frame of %d bytes, want %d", len(payload), controlLen)
 	}
-	c.maskControl(hdrEpoch, payload)
+	c.ec.MaskControl(hdrEpoch, payload)
 	from, seed, err := frame.DecodeControl(payload)
 	if err != nil {
 		return fmt.Errorf("session: %w", err)
@@ -965,20 +870,16 @@ func (c *Conn) handlePropose(from uint64, seed int64) error {
 		c.lastRekeyFrom = from
 	}
 	c.mu.Unlock()
-	if err := c.applyRekey(from, seed); err != nil {
-		return err
-	}
-	// Compile the new family's first dialect before acking, so an ack
-	// guarantees the acker is ready to decode the new dialect. If the
-	// compile or the ack write fails, roll the family switch back: the
+	// ApplyRekey compiles the new family's first dialect before we ack,
+	// so an ack guarantees the acker is ready to decode it. If the compile
+	// or the ack write fails, the family switch is rolled back: the
 	// proposer was never acked and stays on the old family, so keeping
 	// the switch locally would diverge the two sides for good.
-	if _, err := c.dialect(from); err != nil {
-		c.unapplyRekey(from, seed)
+	if err := c.ec.ApplyRekey(from, seed); err != nil {
 		return err
 	}
 	if err := c.sendControl(frame.KindRekeyAck, from, seed); err != nil {
-		c.unapplyRekey(from, seed)
+		c.ec.RollbackRekey(from, seed)
 		return err
 	}
 	// The handshake is committed on our side: reset the volume odometer
@@ -990,7 +891,7 @@ func (c *Conn) handlePropose(from uint64, seed int64) error {
 	if err := c.Advance(from); err != nil {
 		return err
 	}
-	c.tr.Emit(c.traceID, trace.KindRekeyAck, from, "peer")
+	c.ec.Emit(trace.KindRekeyAck, from, "peer")
 	// The rekey invalidated any ticket the peer was holding (its
 	// lineage predates the new family): re-arm it with a current one.
 	return c.maybeReissue()
@@ -1015,63 +916,19 @@ func (c *Conn) handleAck(from uint64, seed int64) error {
 		return nil
 	}
 	c.mu.Unlock()
-	if err := c.applyRekey(from, seed); err != nil {
+	if err := c.ec.ApplyRekey(from, seed); err != nil {
 		return err
 	}
 	if err := c.Advance(from); err != nil {
 		return err
 	}
-	if c.lat != nil && !proposedAt.IsZero() {
-		c.lat.RekeyRTT.ObserveDuration(time.Since(proposedAt))
+	if c.ec.lat != nil && !proposedAt.IsZero() {
+		c.ec.lat.RekeyRTT.ObserveDuration(time.Since(proposedAt))
 	}
-	c.tr.Emit(c.traceID, trace.KindRekeyAck, from, "")
+	c.ec.Emit(trace.KindRekeyAck, from, "")
 	// Same as handlePropose: the committed rekey spent the peer's old
 	// ticket lineage, so push a fresh one if re-issue is on.
 	return c.maybeReissue()
-}
-
-// applyRekey records the family switch in the Versioner and drops cached
-// dialects at or past the boundary — they were compiled under the old
-// family.
-func (c *Conn) applyRekey(from uint64, seed int64) error {
-	rk, ok := c.versions.(Rekeyer)
-	if !ok {
-		return errors.New("session: peer requested rekey but versioner cannot rekey")
-	}
-	if err := rk.Rekey(from, seed); err != nil {
-		return fmt.Errorf("session: rekey: %w", err)
-	}
-	c.dropDialectsFrom(from)
-	return nil
-}
-
-// unapplyRekey rolls back a family switch that failed to commit (the
-// ack never reached the stream). Best-effort: a Versioner without
-// rollback support keeps the switch, which is the pre-rollback behavior.
-func (c *Conn) unapplyRekey(from uint64, seed int64) {
-	c.tr.Emit(c.traceID, trace.KindRekeyRollback, from, "")
-	type dropper interface {
-		DropRekey(from uint64, seed int64) error
-	}
-	if d, ok := c.versions.(dropper); ok {
-		if err := d.DropRekey(from, seed); err == nil {
-			c.dropDialectsFrom(from) // the new-family dialects just cached
-		}
-	}
-}
-
-// dropDialectsFrom invalidates cached dialects at or past a rekey
-// boundary, keeping the send-side reverse index in step.
-func (c *Conn) dropDialectsFrom(from uint64) {
-	c.mu.Lock()
-	c.dialects.DeleteIf(
-		func(e uint64, _ *graph.Graph) bool { return e >= from },
-		func(e uint64, g *graph.Graph) {
-			if c.byGraph[g] == e {
-				delete(c.byGraph, g)
-			}
-		})
-	c.mu.Unlock()
 }
 
 // entropy is the randomness behind the default SeedSource. It is a
@@ -1093,22 +950,17 @@ func randomSeed() (int64, error) {
 }
 
 // Pair connects two in-memory peers with a buffered duplex, each
-// speaking the dialect family of its Versioner. Both sides must be built
-// from the same (spec, options) so their epochs agree, exactly as
-// deployed peers would be (paper §VIII).
-func Pair(a, b Versioner) (*Conn, *Conn, error) {
-	return PairOpts(a, b, Options{}, Options{})
-}
-
-// PairOpts is Pair with per-side control-plane options — how the tests
-// give each peer its own independently clocked schedule.
-func PairOpts(a, b Versioner, aopts, bopts Options) (*Conn, *Conn, error) {
+// speaking the dialect family of its Versioner with its own options (how
+// the tests give each peer an independently clocked schedule). Both
+// sides must be built from the same (spec, options) so their epochs
+// agree, exactly as deployed peers would be (paper §VIII).
+func Pair(a, b Versioner, aopts, bopts Options) (*Conn, *Conn, error) {
 	ca, cb := newPipe()
-	x, err := NewConnOpts(ca, a, aopts)
+	x, err := NewConn(ca, a, aopts)
 	if err != nil {
 		return nil, nil, err
 	}
-	y, err := NewConnOpts(cb, b, bopts)
+	y, err := NewConn(cb, b, bopts)
 	if err != nil {
 		return nil, nil, err
 	}

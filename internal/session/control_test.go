@@ -51,7 +51,7 @@ func TestRekeyHandshake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b, err := Pair(rotA, rotB)
+	a, b, err := Pair(rotA, rotB, Options{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestRekeyCrossedProposals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b, err := Pair(rotA, rotB)
+	a, b, err := Pair(rotA, rotB, Options{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestRekeyFollowGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b, err := Pair(rotA, rotB)
+	a, b, err := Pair(rotA, rotB, Options{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestRekeyAbandonedThenLateAck(t *testing.T) {
 	clockA := sched.NewFakeClock(schedGenesis)
 	clockB := sched.NewFakeClock(schedGenesis)
 	interval := time.Minute
-	a, b, err := PairOpts(rotA, rotB,
+	a, b, err := Pair(rotA, rotB,
 		Options{Schedule: sched.New(schedGenesis, interval).WithClock(clockA.Now)},
 		Options{Schedule: sched.New(schedGenesis, interval).WithClock(clockB.Now)},
 	)
@@ -301,7 +301,7 @@ func TestRekeyStatic(t *testing.T) {
 		t.Fatal(err)
 	}
 	ca, _ := newPipe()
-	c, err := NewConn(ca, Fixed(proto.Graph))
+	c, err := NewConn(ca, Fixed(proto.Graph), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,11 +326,11 @@ func TestRekeyUnderRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	ca, cb := newPipe()
-	a, err := NewConn(ca, rotA)
+	a, err := NewConn(ca, rotA, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewConn(cb, rotB)
+	b, err := NewConn(cb, rotB, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +459,7 @@ func TestScheduledConvergence(t *testing.T) {
 	clockA := sched.NewFakeClock(schedGenesis)
 	clockB := sched.NewFakeClock(schedGenesis.Add(2 * time.Second)) // skewed within the interval
 	interval := time.Minute
-	a, b, err := PairOpts(rotA, rotB,
+	a, b, err := Pair(rotA, rotB,
 		Options{Schedule: sched.New(schedGenesis, interval).WithClock(clockA.Now)},
 		Options{Schedule: sched.New(schedGenesis, interval).WithClock(clockB.Now)},
 	)
@@ -496,7 +496,7 @@ func TestPartitionRecovery(t *testing.T) {
 	clockA := sched.NewFakeClock(schedGenesis)
 	clockB := sched.NewFakeClock(schedGenesis)
 	interval := time.Minute
-	a, b, err := PairOpts(rotA, rotB,
+	a, b, err := Pair(rotA, rotB,
 		Options{Schedule: sched.New(schedGenesis, interval).WithClock(clockA.Now)},
 		Options{Schedule: sched.New(schedGenesis, interval).WithClock(clockB.Now)},
 	)
@@ -541,7 +541,7 @@ func TestPartitionRecoveryWhileBlocked(t *testing.T) {
 	clockA := sched.NewFakeClock(schedGenesis)
 	clockB := sched.NewFakeClock(schedGenesis)
 	interval := time.Minute
-	a, b, err := PairOpts(rotA, rotB,
+	a, b, err := Pair(rotA, rotB,
 		Options{Schedule: sched.New(schedGenesis, interval).WithClock(clockA.Now)},
 		Options{Schedule: sched.New(schedGenesis, interval).WithClock(clockB.Now)},
 	)
@@ -607,7 +607,7 @@ func TestScheduledAutoRekey(t *testing.T) {
 	clockB := sched.NewFakeClock(schedGenesis)
 	interval := time.Minute
 	const every = 3
-	a, b, err := PairOpts(rotA, rotB,
+	a, b, err := Pair(rotA, rotB,
 		Options{
 			Schedule:   sched.New(schedGenesis, interval).WithClock(clockA.Now),
 			RekeyEvery: every,
@@ -685,7 +685,7 @@ func TestDialectCacheSoak(t *testing.T) {
 	}
 	rot.Bound(window)
 	ca, cb := newPipe()
-	c, err := NewConnOpts(ca, rot, Options{CacheWindow: window})
+	c, err := NewConn(ca, rot, Options{CacheWindow: window})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -697,9 +697,9 @@ func TestDialectCacheSoak(t *testing.T) {
 		if n := rot.CacheLen(); n > window {
 			t.Fatalf("epoch %d: rotation cache holds %d versions, window %d", e, n, window)
 		}
-		c.mu.Lock()
-		dn, bn := c.dialects.Len(), len(c.byGraph)
-		c.mu.Unlock()
+		c.ec.mu.Lock()
+		dn, bn := c.ec.dialects.Len(), len(c.ec.byGraph)
+		c.ec.mu.Unlock()
 		if dn > window || bn > window {
 			t.Fatalf("epoch %d: conn caches hold %d dialects / %d reverse entries, window %d", e, dn, bn, window)
 		}
@@ -724,44 +724,6 @@ func TestDialectCacheSoak(t *testing.T) {
 	}
 }
 
-// TestSendEvictedDialectRejected pins the cache-window contract: a
-// message composed for an epoch that has since left the window cannot be
-// sent (its dialect is gone), and the error says so.
-func TestSendEvictedDialectRejected(t *testing.T) {
-	opts := core.ObfuscationOptions{PerNode: 1, Seed: 6}
-	rot, err := core.NewRotation(pingSpec, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ca, _ := newPipe()
-	c, err := NewConnOpts(ca, rot, Options{CacheWindow: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := c.NewMessage() // composed at epoch 0
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := m.Scope()
-	if err := s.SetUint("a", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetUint("b", 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetBytes("payload", []byte("01234567")); err != nil {
-		t.Fatal(err)
-	}
-	for e := uint64(1); e <= 4; e++ {
-		if err := c.Advance(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Send(m); err == nil || !strings.Contains(err.Error(), "cache window") {
-		t.Fatalf("send of evicted-dialect message: %v", err)
-	}
-}
-
 // TestVolumeRekey: the ScrambleSuit-style trigger. With a threshold of
 // a few dozen bytes, a handful of round trips must complete an in-band
 // rekey on both peers — proposed by traffic volume, not by epoch count
@@ -779,7 +741,7 @@ func TestVolumeRekey(t *testing.T) {
 	var n int64
 	seedSource := func() (int64, error) { n++; return 0x7EED + n, nil }
 	o := Options{RekeyAfterBytes: 64, SeedSource: seedSource}
-	a, b, err := PairOpts(rotA, rotB, o, o)
+	a, b, err := Pair(rotA, rotB, o, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -835,7 +797,7 @@ func TestRekeySeedFailsClosed(t *testing.T) {
 	}
 	// A rekeys after every framed byte and uses the default (crypto/rand)
 	// seed source; B has no trigger so its Recv stays clean.
-	a, b, err := PairOpts(rotA, rotB, Options{RekeyAfterBytes: 1}, Options{})
+	a, b, err := Pair(rotA, rotB, Options{RekeyAfterBytes: 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -873,7 +835,7 @@ func TestVolumeRekeyRespectsThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := Options{RekeyAfterBytes: 1 << 30}
-	a, b, err := PairOpts(rotA, rotB, o, o)
+	a, b, err := Pair(rotA, rotB, o, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -896,7 +858,7 @@ func TestVolumeRekeyStaticNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := Options{RekeyAfterBytes: 1}
-	a, b, err := PairOpts(Fixed(p.Graph), Fixed(p.Graph), o, o)
+	a, b, err := Pair(Fixed(p.Graph), Fixed(p.Graph), o, o)
 	if err != nil {
 		t.Fatal(err)
 	}

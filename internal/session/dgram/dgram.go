@@ -37,7 +37,6 @@ import (
 	"protoobf/internal/lru"
 	"protoobf/internal/metrics"
 	"protoobf/internal/msgtree"
-	"protoobf/internal/rng"
 	"protoobf/internal/session"
 	"protoobf/internal/session/sched"
 	"protoobf/internal/trace"
@@ -125,9 +124,13 @@ type Options struct {
 	// into one observable counter block.
 	Stats *metrics.DgramCounters
 
+	// Latency, when non-nil, receives the session's epoch-boundary
+	// crossings, exactly as in the stream layer.
+	Latency *metrics.LatencyCounters
+
 	// Trace, when non-nil, receives the session's lifecycle events
-	// (packet rejects, cover packets), labeled TraceID. A nil ring
-	// disables tracing at nil-check cost.
+	// (open/close, epoch crossings, packet rejects, cover packets),
+	// labeled TraceID. A nil ring disables tracing at nil-check cost.
 	Trace   *trace.Ring
 	TraceID uint64
 }
@@ -143,27 +146,23 @@ type Options struct {
 // connected net.UDPConn and the in-memory packet pair both satisfy
 // it). Conn is safe for concurrent use.
 type Conn struct {
-	rw       io.ReadWriter
-	versions session.Versioner
+	rw io.ReadWriter
 
 	window     uint64
 	zo         bool
+	padder     PacketPadder // zero-overhead pad source, when versions has one
 	maxPacket  int
 	redundancy int
-	schedule   *sched.Scheduler
 	stats      *metrics.DgramCounters
-	tr         *trace.Ring
-	traceID    uint64
 
 	// horizon is the receive/send anchor: the highest epoch decoded or
 	// scheduled so far. Monotonic, lock-free reads.
 	horizon atomic.Uint64
 
-	mu       sync.Mutex // guards dialects, byGraph, pads, mrng, lastRekey
-	dialects *lru.Cache[uint64, *graph.Graph]
-	byGraph  map[*graph.Graph]uint64
-	pads     *lru.Cache[uint64, []byte] // zero-overhead packet pads per epoch
-	mrng     *rng.R
+	ec session.EpochCore // epoch state shared with the stream transport; raises horizon
+
+	mu   sync.Mutex                 // guards pads and lastRekey
+	pads *lru.Cache[uint64, []byte] // zero-overhead packet pads per epoch
 	// lastRekey records the highest rekey boundary applied (by either
 	// side), the idempotence anchor: a control packet proposing a
 	// boundary at or below it is a duplicate, discarded and counted.
@@ -202,21 +201,9 @@ func NewConn(rw io.ReadWriter, versions session.Versioner, opts Options) (*Conn,
 	if maxPacket < frame.EpochHeaderLen+1 || maxPacket > frame.MaxFrame {
 		return nil, fmt.Errorf("dgram: max packet %d outside [%d, %d]", maxPacket, frame.EpochHeaderLen+1, frame.MaxFrame)
 	}
-	if opts.ZeroOverhead {
-		if _, ok := versions.(PacketPadder); !ok {
-			return nil, errors.New("dgram: zero-overhead mode needs a Versioner with PacketPad (a rotation view; static sessions cannot)")
-		}
-	}
-	cacheWindow := opts.CacheWindow
-	if cacheWindow == 0 {
-		cacheWindow = session.DefaultCacheWindow
-	} else if cacheWindow < 0 {
-		cacheWindow = 0 // lru: unbounded
-	}
-	// The dialect cache must hold the whole decode window around the
-	// horizon or in-window packets would thrash it.
-	if cacheWindow != 0 && uint64(cacheWindow) < 2*window+1 {
-		cacheWindow = int(2*window + 1)
+	padder, _ := versions.(PacketPadder)
+	if opts.ZeroOverhead && padder == nil {
+		return nil, errors.New("dgram: zero-overhead mode needs a Versioner with PacketPad (a rotation view; static sessions cannot)")
 	}
 	redundancy := opts.RekeyRedundancy
 	if redundancy <= 0 {
@@ -228,40 +215,40 @@ func NewConn(rw io.ReadWriter, versions session.Versioner, opts Options) (*Conn,
 	}
 	c := &Conn{
 		rw:         rw,
-		versions:   versions,
 		window:     window,
 		zo:         opts.ZeroOverhead,
+		padder:     padder,
 		maxPacket:  maxPacket,
 		redundancy: redundancy,
-		schedule:   opts.Schedule,
 		stats:      stats,
-		tr:         opts.Trace,
-		traceID:    opts.TraceID,
-		byGraph:    make(map[*graph.Graph]uint64),
-		mrng:       rng.New(0xd6a4),
 		wbuf:       frame.GetBuffer(),
 		rbuf:       make([]byte, maxPacket),
 	}
-	c.dialects = lru.New[uint64, *graph.Graph](cacheWindow, func(epoch uint64, g *graph.Graph) {
-		if c.byGraph[g] == epoch {
-			delete(c.byGraph, g)
-		}
+	// The dialect cache must hold the whole decode window around the
+	// horizon or in-window packets would thrash it.
+	c.ec.Init("dgram", versions, &c.horizon, int(2*window+1), session.Options{
+		Schedule:    opts.Schedule,
+		CacheWindow: opts.CacheWindow,
+		Latency:     opts.Latency,
+		Trace:       opts.Trace,
+		TraceID:     opts.TraceID,
 	})
-	c.pads = lru.New[uint64, []byte](cacheWindow, nil)
+	c.ec.OnDrop = c.dropPadsFrom
+	c.pads = lru.New[uint64, []byte](c.ec.CacheWindow(), nil)
 	start := uint64(0)
-	if c.schedule != nil {
-		start = c.schedule.Epoch()
+	if opts.Schedule != nil {
+		start = opts.Schedule.Epoch()
 	}
-	if _, err := c.dialect(start); err != nil {
+	if err := c.ec.Advance(start); err != nil {
 		return nil, err
 	}
-	c.horizon.Store(start)
+	c.ec.Emit(trace.KindSessionOpen, start, "")
 	return c, nil
 }
 
 // Pair connects two in-memory datagram peers over a lossless packet
 // pair, each speaking the dialect family of its Versioner — the
-// datagram analogue of session.PairOpts.
+// datagram analogue of session.Pair.
 func Pair(a, b session.Versioner, aopts, bopts Options) (*Conn, *Conn, error) {
 	pa, pb := NewPair()
 	x, err := NewConn(pa, a, aopts)
@@ -296,6 +283,7 @@ func (c *Conn) Release() {
 // Close closes the underlying transport (when it implements io.Closer)
 // and releases the session's buffers.
 func (c *Conn) Close() error {
+	c.ec.Emit(trace.KindSessionClose, c.Horizon(), "")
 	var err error
 	if cl, ok := c.rw.(io.Closer); ok {
 		err = cl.Close()
@@ -304,52 +292,10 @@ func (c *Conn) Close() error {
 	return err
 }
 
-// advanceHorizon raises the horizon monotonically.
-func (c *Conn) advanceHorizon(epoch uint64) {
-	for {
-		cur := c.horizon.Load()
-		if epoch <= cur || c.horizon.CompareAndSwap(cur, epoch) {
-			return
-		}
-	}
-}
-
 // syncSchedule adopts the schedule's current epoch as the horizon.
 // Unlike the stream layer there is no pending-rekey gate: datagram
 // rekeys apply immediately (no ack to wait for).
-func (c *Conn) syncSchedule() error {
-	if c.schedule == nil {
-		return nil
-	}
-	if target := c.schedule.Epoch(); target > c.horizon.Load() {
-		if _, err := c.dialect(target); err != nil {
-			return err
-		}
-		c.advanceHorizon(target)
-	}
-	return nil
-}
-
-// dialect fetches the graph of epoch through the bounded cache,
-// recording it so Send can recover the epoch a message was composed
-// for. Compilation happens outside c.mu.
-func (c *Conn) dialect(epoch uint64) (*graph.Graph, error) {
-	c.mu.Lock()
-	if g, ok := c.dialects.Get(epoch); ok {
-		c.mu.Unlock()
-		return g, nil
-	}
-	c.mu.Unlock()
-	g, err := c.versions.Graph(epoch)
-	if err != nil {
-		return nil, fmt.Errorf("dgram: epoch %d: %w", epoch, err)
-	}
-	c.mu.Lock()
-	c.dialects.Put(epoch, g)
-	c.byGraph[g] = epoch
-	c.mu.Unlock()
-	return g, nil
-}
+func (c *Conn) syncSchedule() error { return c.ec.AdoptSchedule(nil) }
 
 // NewMessage returns an empty message bound to the current horizon's
 // dialect. Like the stream layer, the binding survives a concurrent
@@ -359,24 +305,11 @@ func (c *Conn) NewMessage() (*msgtree.Message, error) {
 	if err := c.syncSchedule(); err != nil {
 		return nil, err
 	}
-	g, err := c.dialect(c.horizon.Load())
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	r := c.mrng.Split()
-	c.mu.Unlock()
-	return msgtree.New(g, r), nil
+	return c.ec.NewMessage()
 }
 
 // Advance raises the horizon to epoch, compiling its dialect first.
-func (c *Conn) Advance(epoch uint64) error {
-	if _, err := c.dialect(epoch); err != nil {
-		return err
-	}
-	c.advanceHorizon(epoch)
-	return nil
-}
+func (c *Conn) Advance(epoch uint64) error { return c.ec.Advance(epoch) }
 
 // Send serializes m into one datagram under the epoch whose dialect
 // composed it and writes it. Steady-state sends reuse the connection's
@@ -386,11 +319,9 @@ func (c *Conn) Send(m *msgtree.Message) error {
 	if err := c.syncSchedule(); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	epoch, ok := c.byGraph[m.G]
-	c.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("dgram: message graph %q does not belong to this session (or its epoch left the cache window)", m.G.ProtocolName)
+	epoch, err := c.ec.SendEpoch(m)
+	if err != nil {
+		return err
 	}
 	c.smu.Lock()
 	defer c.smu.Unlock()
@@ -432,18 +363,10 @@ func (c *Conn) SendBatch(ms []*msgtree.Message) error {
 	if err := c.syncSchedule(); err != nil {
 		return err
 	}
-	// One lock round for all epoch bindings.
 	epochs := make([]uint64, len(ms))
-	c.mu.Lock()
-	for i, m := range ms {
-		e, ok := c.byGraph[m.G]
-		if !ok {
-			c.mu.Unlock()
-			return fmt.Errorf("dgram: message %d: graph %q does not belong to this session", i, m.G.ProtocolName)
-		}
-		epochs[i] = e
+	if err := c.ec.SendEpochs(ms, epochs); err != nil {
+		return err
 	}
-	c.mu.Unlock()
 	c.smu.Lock()
 	defer c.smu.Unlock()
 	bw, batched := c.rw.(BatchWriter)
@@ -529,8 +452,7 @@ func (c *Conn) encodeData(m *msgtree.Message, epoch uint64) ([]byte, error) {
 // Rekeying mutates the session's Versioner; like the stream layer, a
 // rekeying Conn must own its view exclusively.
 func (c *Conn) Rekey(seed int64) (uint64, error) {
-	rk, ok := c.versions.(session.Rekeyer)
-	if !ok {
+	if !c.ec.CanRekey() {
 		return 0, errors.New("dgram: versioner does not support rekeying")
 	}
 	if err := c.syncSchedule(); err != nil {
@@ -542,21 +464,8 @@ func (c *Conn) Rekey(seed int64) (uint64, error) {
 		from = c.lastRekey.from + 1
 	}
 	c.mu.Unlock()
-	if err := rk.Rekey(from, seed); err != nil {
-		return 0, fmt.Errorf("dgram: rekey: %w", err)
-	}
-	c.dropEpochStateFrom(from)
-	if _, err := c.dialect(from); err != nil {
-		// Roll the family switch back; the peer never heard of it.
-		type dropper interface {
-			DropRekey(from uint64, seed int64) error
-		}
-		if d, ok := c.versions.(dropper); ok {
-			if rerr := d.DropRekey(from, seed); rerr == nil {
-				c.dropEpochStateFrom(from)
-			}
-		}
-		return 0, err
+	if err := c.ec.ApplyRekey(from, seed); err != nil {
+		return 0, err // rolled back; the peer never heard of it
 	}
 	c.mu.Lock()
 	c.lastRekey = &rekeyPoint{from: from, seed: seed}
@@ -576,7 +485,7 @@ func (c *Conn) Rekey(seed int64) (uint64, error) {
 		}
 		c.stats.ControlSent.Add(1)
 	}
-	c.advanceHorizon(from)
+	c.ec.Raise(from)
 	return from, firstErr
 }
 
@@ -588,7 +497,7 @@ func (c *Conn) sendRekeyPacket(from uint64, seed int64) error {
 	hdrEpoch := from - 1
 	var inner [frame.ControlLen]byte
 	frame.EncodeControl(inner[:], from, seed)
-	c.maskControl(hdrEpoch, inner[:])
+	c.ec.MaskControl(hdrEpoch, inner[:])
 	return c.sendControlPacket(frame.KindRekeyPropose, hdrEpoch, inner[:])
 }
 
@@ -599,16 +508,12 @@ func (c *Conn) SendCover() error {
 	if err := c.syncSchedule(); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	n := 16 + c.mrng.Pick(144)
-	chaff := c.mrng.Bytes(n)
-	c.mu.Unlock()
-	if err := c.sendControlPacket(frame.KindCover, c.horizon.Load(), chaff); err != nil {
+	if err := c.sendControlPacket(frame.KindCover, c.horizon.Load(), c.ec.Chaff(16, 144)); err != nil {
 		return err
 	}
 	c.stats.ControlSent.Add(1)
 	c.stats.CoverSent.Add(1)
-	c.tr.Emit(c.traceID, trace.KindCoverBurst, c.horizon.Load(), "")
+	c.ec.Emit(trace.KindCoverBurst, c.horizon.Load(), "")
 	return nil
 }
 
@@ -629,11 +534,8 @@ func (c *Conn) sendControlPacket(kind byte, hdrEpoch uint64, payload []byte) err
 		return err
 	}
 	pkt = append(pkt, payload...)
-	c.mu.Lock()
-	padLen := c.mrng.Pick(64)
-	pad := c.mrng.Bytes(padLen)
-	c.mu.Unlock()
-	if len(pkt)+padLen <= c.maxPacket {
+	pad := c.ec.Chaff(0, 64)
+	if len(pkt)+len(pad) <= c.maxPacket {
 		pkt = append(pkt, pad...)
 	}
 	c.wbuf = pkt
@@ -645,20 +547,6 @@ func (c *Conn) sendControlPacket(kind byte, hdrEpoch uint64, payload []byte) err
 	}
 	_, err := c.rw.Write(pkt)
 	return err
-}
-
-// maskControl XORs the stream layer's control pad over p — the inner
-// masking layer shared by both transports. Without a Padder the
-// payload travels unmasked (acceptable only on protected links).
-func (c *Conn) maskControl(epoch uint64, p []byte) {
-	pd, ok := c.versions.(session.Padder)
-	if !ok {
-		return
-	}
-	pad := pd.ControlPad(epoch, len(p))
-	for i := range p {
-		p[i] ^= pad[i]
-	}
 }
 
 // Recv reads datagrams until one decodes to a data message. Control
@@ -755,7 +643,7 @@ func (c *Conn) memoDialect(epoch uint64, memo *dialectMemo) (*graph.Graph, error
 	if memo != nil && memo.valid && memo.epoch == epoch {
 		return memo.g, nil
 	}
-	g, err := c.dialect(epoch)
+	g, err := c.ec.Dialect(epoch)
 	if err == nil && memo != nil {
 		*memo = dialectMemo{valid: true, epoch: epoch, g: g}
 	}
@@ -769,13 +657,13 @@ func (c *Conn) decodeLocked(pkt []byte, memo *dialectMemo) (*msgtree.Message, er
 	}
 	if len(pkt) < frame.EpochHeaderLen {
 		c.stats.RejectedMalformed.Add(1)
-		c.tr.Emit(c.traceID, trace.KindDgramReject, 0, "malformed")
+		c.ec.Emit(trace.KindDgramReject, 0, "malformed")
 		return nil, fmt.Errorf("dgram: packet of %d bytes is shorter than the %d-byte header", len(pkt), frame.EpochHeaderLen)
 	}
 	kind, n, epoch, err := frame.DecodeHeader(pkt[:frame.EpochHeaderLen])
 	if err != nil || kind > frame.KindMax || frame.EpochHeaderLen+n > len(pkt) {
 		c.stats.RejectedMalformed.Add(1)
-		c.tr.Emit(c.traceID, trace.KindDgramReject, 0, "malformed")
+		c.ec.Emit(trace.KindDgramReject, 0, "malformed")
 		if err == nil {
 			err = fmt.Errorf("dgram: malformed packet header (kind %#02x, length %d of %d bytes)", kind, n, len(pkt))
 		}
@@ -793,25 +681,22 @@ func (c *Conn) decodeLocked(pkt []byte, memo *dialectMemo) (*msgtree.Message, er
 		// Data packets are never padded: trailing bytes mean tampering
 		// or a framing bug, not slack to skip over.
 		c.stats.RejectedMalformed.Add(1)
-		c.tr.Emit(c.traceID, trace.KindDgramReject, epoch, "malformed")
+		c.ec.Emit(trace.KindDgramReject, epoch, "malformed")
 		return nil, fmt.Errorf("dgram: data packet of %d bytes with %d-byte payload claim", len(pkt), n)
 	}
 	g, err := c.memoDialect(epoch, memo)
 	if err != nil {
 		c.stats.RejectedParse.Add(1)
-		c.tr.Emit(c.traceID, trace.KindDgramReject, epoch, "parse")
+		c.ec.Emit(trace.KindDgramReject, epoch, "parse")
 		return nil, err
 	}
-	c.mu.Lock()
-	r := c.mrng.Split()
-	c.mu.Unlock()
-	m, err := wire.Parse(g, body, r)
+	m, err := wire.Parse(g, body, c.ec.Split())
 	if err != nil {
 		c.stats.RejectedParse.Add(1)
-		c.tr.Emit(c.traceID, trace.KindDgramReject, epoch, "parse")
+		c.ec.Emit(trace.KindDgramReject, epoch, "parse")
 		return nil, fmt.Errorf("dgram: epoch %d: %w", epoch, err)
 	}
-	c.advanceHorizon(epoch)
+	c.ec.Raise(epoch)
 	c.stats.DataRecv.Add(1)
 	return m, nil
 }
@@ -822,12 +707,12 @@ func (c *Conn) checkWindow(epoch uint64) (rejected bool, err error) {
 	h := c.horizon.Load()
 	if epoch+c.window < h {
 		c.stats.RejectedStale.Add(1)
-		c.tr.Emit(c.traceID, trace.KindDgramReject, epoch, "stale")
+		c.ec.Emit(trace.KindDgramReject, epoch, "stale")
 		return true, fmt.Errorf("dgram: packet epoch %d is %d behind horizon %d (window %d)", epoch, h-epoch, h, c.window)
 	}
 	if epoch > h+c.window {
 		c.stats.RejectedFuture.Add(1)
-		c.tr.Emit(c.traceID, trace.KindDgramReject, epoch, "future")
+		c.ec.Emit(trace.KindDgramReject, epoch, "future")
 		return true, fmt.Errorf("dgram: packet epoch %d is %d ahead of horizon %d (window %d)", epoch, epoch-h, h, c.window)
 	}
 	return false, nil
@@ -842,14 +727,14 @@ func (c *Conn) handleControl(kind byte, hdrEpoch uint64, body []byte) error {
 	case frame.KindRekeyPropose:
 		if len(body) != frame.ControlLen {
 			c.stats.RejectedMalformed.Add(1)
-			c.tr.Emit(c.traceID, trace.KindDgramReject, hdrEpoch, "malformed")
+			c.ec.Emit(trace.KindDgramReject, hdrEpoch, "malformed")
 			return fmt.Errorf("dgram: rekey packet with %d-byte payload, want %d", len(body), frame.ControlLen)
 		}
-		c.maskControl(hdrEpoch, body)
+		c.ec.MaskControl(hdrEpoch, body)
 		from, seed, err := frame.DecodeControl(body)
 		if err != nil || from == 0 || from != hdrEpoch+1 {
 			c.stats.RejectedParse.Add(1)
-			c.tr.Emit(c.traceID, trace.KindDgramReject, hdrEpoch, "parse")
+			c.ec.Emit(trace.KindDgramReject, hdrEpoch, "parse")
 			if err == nil {
 				err = fmt.Errorf("dgram: rekey boundary %d contradicts packet epoch %d", from, hdrEpoch)
 			}
@@ -861,7 +746,7 @@ func (c *Conn) handleControl(kind byte, hdrEpoch uint64, body []byte) error {
 		// stream-layer machinery with no datagram meaning: reject them
 		// countably rather than guessing.
 		c.stats.RejectedMalformed.Add(1)
-		c.tr.Emit(c.traceID, trace.KindDgramReject, hdrEpoch, "malformed")
+		c.ec.Emit(trace.KindDgramReject, hdrEpoch, "malformed")
 		return fmt.Errorf("dgram: frame kind %#02x has no datagram semantics", kind)
 	}
 }
@@ -870,8 +755,7 @@ func (c *Conn) handleControl(kind byte, hdrEpoch uint64, body []byte) error {
 // copies of the burst — and replays of any earlier boundary — are
 // counted and discarded, which is what makes redundant proposals safe.
 func (c *Conn) handleRekey(from uint64, seed int64) error {
-	rk, ok := c.versions.(session.Rekeyer)
-	if !ok {
+	if !c.ec.CanRekey() {
 		c.stats.RejectedMalformed.Add(1)
 		return errors.New("dgram: peer requested rekey but versioner cannot rekey")
 	}
@@ -882,11 +766,10 @@ func (c *Conn) handleRekey(from uint64, seed int64) error {
 		return nil
 	}
 	c.mu.Unlock()
-	if err := rk.Rekey(from, seed); err != nil {
+	if err := c.ec.ApplyRekey(from, seed); err != nil {
 		c.stats.RejectedParse.Add(1)
-		return fmt.Errorf("dgram: rekey: %w", err)
+		return err
 	}
-	c.dropEpochStateFrom(from)
 	c.mu.Lock()
 	c.lastRekey = &rekeyPoint{from: from, seed: seed}
 	c.mu.Unlock()
@@ -899,17 +782,10 @@ func (c *Conn) handleRekey(from uint64, seed int64) error {
 	return nil
 }
 
-// dropEpochStateFrom invalidates cached dialects and packet pads at or
-// past a rekey boundary — they were derived under the old family.
-func (c *Conn) dropEpochStateFrom(from uint64) {
+// dropPadsFrom invalidates cached packet pads at or past a rekey
+// boundary, derived under the old family (the epoch core's OnDrop).
+func (c *Conn) dropPadsFrom(from uint64) {
 	c.mu.Lock()
-	c.dialects.DeleteIf(
-		func(e uint64, _ *graph.Graph) bool { return e >= from },
-		func(e uint64, g *graph.Graph) {
-			if c.byGraph[g] == e {
-				delete(c.byGraph, g)
-			}
-		})
 	c.pads.DeleteIf(func(e uint64, _ []byte) bool { return e >= from }, nil)
 	c.mu.Unlock()
 }

@@ -40,15 +40,12 @@ const zoPrefixLen = 32
 // packetPad returns at least n bytes of the packet pad of epoch,
 // cached per epoch so the hot path does not re-derive the keystream
 // (one SHA-256 chain per derivation) for every packet and every trial.
-func (c *Conn) packetPad(epoch uint64, n int) ([]byte, error) {
-	pp, ok := c.versions.(PacketPadder)
-	if !ok {
-		return nil, errors.New("dgram: zero-overhead mode without a PacketPadder")
-	}
+// Zero-overhead sessions only: NewConn guarantees their padder.
+func (c *Conn) packetPad(epoch uint64, n int) []byte {
 	c.mu.Lock()
 	if pad, ok := c.pads.Get(epoch); ok && len(pad) >= n {
 		c.mu.Unlock()
-		return pad, nil
+		return pad
 	}
 	c.mu.Unlock()
 	want := n
@@ -57,27 +54,23 @@ func (c *Conn) packetPad(epoch uint64, n int) ([]byte, error) {
 		// prefixes (32 bytes) share one cache entry.
 		want = 2 * zoPrefixLen
 	}
-	pad := pp.PacketPad(epoch, want)
+	pad := c.padder.PacketPad(epoch, want)
 	c.mu.Lock()
 	c.pads.Put(epoch, pad)
 	c.mu.Unlock()
-	return pad, nil
+	return pad
 }
 
 // maskPacketPrefix XORs the packet pad of epoch over pkt[:n] in place
 // (mask and unmask are the same operation).
-func (c *Conn) maskPacketPrefix(epoch uint64, pkt []byte, n int) error {
+func (c *Conn) maskPacketPrefix(epoch uint64, pkt []byte, n int) {
 	if n > len(pkt) {
 		n = len(pkt)
 	}
-	pad, err := c.packetPad(epoch, n)
-	if err != nil {
-		return err
-	}
+	pad := c.packetPad(epoch, n)
 	for i := 0; i < n; i++ {
 		pkt[i] ^= pad[i]
 	}
-	return nil
 }
 
 // encodeDataZO serializes m into a zero-overhead data packet: the
@@ -95,9 +88,7 @@ func (c *Conn) encodeDataZO(m *msgtree.Message, epoch uint64) ([]byte, error) {
 	if n > zoPrefixLen {
 		n = zoPrefixLen
 	}
-	if err := c.maskPacketPrefix(epoch, out, n); err != nil {
-		return nil, err
-	}
+	c.maskPacketPrefix(epoch, out, n)
 	return out, nil
 }
 
@@ -128,7 +119,7 @@ func (c *Conn) candidateEpochs(cands []uint64) []uint64 {
 func (c *Conn) decodeZO(pkt []byte, memo *dialectMemo) (*msgtree.Message, error) {
 	if len(pkt) == 0 {
 		c.stats.RejectedMalformed.Add(1)
-		c.tr.Emit(c.traceID, trace.KindDgramReject, 0, "malformed")
+		c.ec.Emit(trace.KindDgramReject, 0, "malformed")
 		return nil, errors.New("dgram: empty packet")
 	}
 	var cbuf [2*DefaultEpochWindow + 1]uint64
@@ -141,11 +132,7 @@ func (c *Conn) decodeZO(pkt []byte, memo *dialectMemo) (*msgtree.Message, error)
 	if len(pkt) >= frame.EpochHeaderLen {
 		var hdr [frame.EpochHeaderLen]byte
 		for _, e := range cands {
-			pad, err := c.packetPad(e, frame.EpochHeaderLen)
-			if err != nil {
-				c.stats.RejectedParse.Add(1)
-				return nil, err
-			}
+			pad := c.packetPad(e, frame.EpochHeaderLen)
 			for i := range hdr {
 				hdr[i] = pkt[i] ^ pad[i]
 			}
@@ -154,11 +141,7 @@ func (c *Conn) decodeZO(pkt []byte, memo *dialectMemo) (*msgtree.Message, error)
 				epoch != e || frame.EpochHeaderLen+n > len(pkt) {
 				continue
 			}
-			full, err := c.packetPad(e, frame.EpochHeaderLen+n)
-			if err != nil {
-				c.stats.RejectedParse.Add(1)
-				return nil, err
-			}
+			full := c.packetPad(e, frame.EpochHeaderLen+n)
 			body := append(c.scratch[:0], pkt[frame.EpochHeaderLen:frame.EpochHeaderLen+n]...)
 			c.scratch = body
 			for i := range body {
@@ -180,31 +163,24 @@ func (c *Conn) decodeZO(pkt []byte, memo *dialectMemo) (*msgtree.Message, error)
 		if err != nil {
 			continue
 		}
-		pad, err := c.packetPad(e, prefix)
-		if err != nil {
-			c.stats.RejectedParse.Add(1)
-			return nil, err
-		}
+		pad := c.packetPad(e, prefix)
 		trial := append(c.scratch[:0], pkt...)
 		c.scratch = trial
 		for i := 0; i < prefix; i++ {
 			trial[i] ^= pad[i]
 		}
-		c.mu.Lock()
-		r := c.mrng.Split()
-		c.mu.Unlock()
 		// The parser copies terminal content out of the trial buffer,
 		// so reusing scratch for the next packet cannot corrupt a
 		// returned message.
-		m, err := wire.Parse(g, trial, r)
+		m, err := wire.Parse(g, trial, c.ec.Split())
 		if err != nil {
 			continue
 		}
-		c.advanceHorizon(e)
+		c.ec.Raise(e)
 		c.stats.DataRecv.Add(1)
 		return m, nil
 	}
 	c.stats.RejectedParse.Add(1)
-	c.tr.Emit(c.traceID, trace.KindDgramReject, c.horizon.Load(), "parse")
+	c.ec.Emit(trace.KindDgramReject, c.horizon.Load(), "parse")
 	return nil, fmt.Errorf("dgram: packet of %d bytes decoded under no candidate epoch (horizon %d, window %d)", len(pkt), c.horizon.Load(), c.window)
 }

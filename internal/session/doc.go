@@ -66,7 +66,8 @@
 // handshake (see resume.go).
 //
 // Compiled dialects are cached per connection in an LRU bounded by
-// Options.CacheWindow (internal/lru), and core.Rotation bounds its
+// Options.CacheWindow (internal/lru) — part of the EpochCore stream and
+// datagram (package dgram) sessions share — and core.Rotation bounds its
 // shared compiled-version cache the same way (sharded, strict total
 // bound), keeping long-lived sessions at O(window) memory across
 // unbounded epochs; evicted epochs recompile deterministically on

@@ -41,7 +41,7 @@ func FuzzSessionRecv(f *testing.F) {
 	f.Add(append([]byte{0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 9}, 'h', 'i'))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := NewConn(discardWriter{bytes.NewReader(data)}, Fixed(proto.Graph))
+		c, err := NewConn(discardWriter{bytes.NewReader(data)}, Fixed(proto.Graph), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func FuzzControlFrame(f *testing.F) {
 		// Fresh view per run: rekey state must not leak across inputs
 		// (the corpus would otherwise order-depend), while compiled
 		// dialects stay shared in the rotation's cache.
-		c, err := NewConn(discardWriter{bytes.NewReader(nil)}, rot.View())
+		c, err := NewConn(discardWriter{bytes.NewReader(nil)}, rot.View(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,7 +44,7 @@ func TestResumeReplayRejected(t *testing.T) {
 
 	// First presentation: accepted.
 	ca, cb := newPipe()
-	b1, err := NewConnOpts(cb, rotB.View(), accept)
+	b1, err := NewConn(cb, rotB.View(), accept)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestResumeReplayRejected(t *testing.T) {
 	// Second presentation of the same ticket, fresh acceptor session
 	// sharing the cache: refused, counted as replay.
 	ca2, cb2 := newPipe()
-	b2, err := NewConnOpts(cb2, rotB.View(), accept)
+	b2, err := NewConn(cb2, rotB.View(), accept)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestForgedTicketStillCountsForged(t *testing.T) {
 	replay := NewReplayCache(0)
 	var stats metrics.ResumeCounters
 	ca, cb := newPipe()
-	bc, err := NewConnOpts(cb, rotB.View(), Options{Replay: replay, ResumeStats: &stats})
+	bc, err := NewConn(cb, rotB.View(), Options{Replay: replay, ResumeStats: &stats})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestTicketReissueAfterRekey(t *testing.T) {
 	// all: the re-issued ticket is a distinct single use.
 	replay := NewReplayCache(0)
 	ca, cb := newPipe()
-	b2, err := NewConnOpts(cb, rotB.View(), Options{Replay: replay})
+	b2, err := NewConn(cb, rotB.View(), Options{Replay: replay})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestTicketReissueAfterResume(t *testing.T) {
 	first := exportAfterRekey(t, a, b, r)
 
 	ca, cb := newPipe()
-	b2, err := NewConnOpts(cb, rotB.View(), Options{ReissueTickets: true})
+	b2, err := NewConn(cb, rotB.View(), Options{ReissueTickets: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestTicketReissueAfterResume(t *testing.T) {
 	}
 	// And the fresh ticket works.
 	ca3, cb3 := newPipe()
-	b3, err := NewConnOpts(cb3, rotB.View(), Options{})
+	b3, err := NewConn(cb3, rotB.View(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

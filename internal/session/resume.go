@@ -230,8 +230,8 @@ func ticketDigest(ticket []byte) (d [8]byte) {
 // rekey lineage (core's rotation views can; static Fixed versioners
 // cannot).
 func (c *Conn) Export() ([]byte, error) {
-	sealer, okSeal := c.versions.(TicketSealer)
-	lin, okLin := c.versions.(Lineage)
+	sealer, okSeal := c.ec.versions.(TicketSealer)
+	lin, okLin := c.ec.versions.(Lineage)
 	if !okSeal || !okLin {
 		return nil, errors.New("session: versioner does not support resumption tickets")
 	}
@@ -241,7 +241,7 @@ func (c *Conn) Export() ([]byte, error) {
 	st.bytesMoved = c.bytesMoved.Load()
 	st.sinceRekey = st.bytesMoved - c.rekeyBase
 	st.lastRekeyFrom = c.lastRekeyFrom
-	st.cacheWindow = int32(c.cacheWindow)
+	st.cacheWindow = int32(c.ec.window)
 	c.mu.Unlock()
 	// Lineage is read after the epoch: a rekey completing concurrently
 	// may then appear as a boundary past the captured epoch, which
@@ -329,11 +329,10 @@ func ResumeConn(rw io.ReadWriter, versions Versioner, opts Options, ticket []byt
 		c.Release()
 		return nil, fmt.Errorf("session: resume: %w", err)
 	}
-	if _, err := c.dialect(st.epoch); err != nil {
+	if err := c.ec.Advance(st.epoch); err != nil {
 		c.Release()
 		return nil, err
 	}
-	c.t.Advance(st.epoch)
 	c.bytesMoved.Store(st.bytesMoved)
 	c.mu.Lock()
 	c.lastRekeyFrom = st.lastRekeyFrom
@@ -359,7 +358,7 @@ func ResumeConn(rw io.ReadWriter, versions Versioner, opts Options, ticket []byt
 	// one had. The cover scheduler starts only now that the session is
 	// viable.
 	c.startCover(opts)
-	c.tr.Emit(c.traceID, trace.KindSessionOpen, st.epoch, "resume")
+	c.ec.Emit(trace.KindSessionOpen, st.epoch, "resume")
 	return c, nil
 }
 
@@ -371,13 +370,13 @@ func ResumeConn(rw io.ReadWriter, versions Versioner, opts Options, ticket []byt
 // epoch must match the header (the header is outside the seal). All
 // outcomes are counted in the session's ResumeStats.
 func (c *Conn) handleResume(hdrEpoch uint64, ticket []byte) error {
-	sealer, okSeal := c.versions.(TicketSealer)
-	lin, okLin := c.versions.(Lineage)
+	sealer, okSeal := c.ec.versions.(TicketSealer)
+	lin, okLin := c.ec.versions.(Lineage)
 	if !okSeal || !okLin {
 		if s := c.resumeStats; s != nil {
 			s.RejectedState.Add(1)
 		}
-		c.tr.Emit(c.traceID, trace.KindResumeReject, hdrEpoch, "state")
+		c.ec.Emit(trace.KindResumeReject, hdrEpoch, "state")
 		return errors.New("session: peer requested resume but versioner cannot open tickets")
 	}
 	cur := c.horizon()
@@ -385,7 +384,7 @@ func (c *Conn) handleResume(hdrEpoch uint64, ticket []byte) error {
 		if s := c.resumeStats; s != nil {
 			s.RejectedExpired.Add(1)
 		}
-		c.tr.Emit(c.traceID, trace.KindResumeReject, hdrEpoch, "expired")
+		c.ec.Emit(trace.KindResumeReject, hdrEpoch, "expired")
 		return fmt.Errorf("session: resume at epoch %d implausibly far ahead of current %d (max lead %d)",
 			hdrEpoch, cur, c.MaxEpochLead)
 	}
@@ -393,7 +392,7 @@ func (c *Conn) handleResume(hdrEpoch uint64, ticket []byte) error {
 		if s := c.resumeStats; s != nil {
 			s.RejectedExpired.Add(1)
 		}
-		c.tr.Emit(c.traceID, trace.KindResumeReject, hdrEpoch, "expired")
+		c.ec.Emit(trace.KindResumeReject, hdrEpoch, "expired")
 		return fmt.Errorf("session: resumption ticket expired: epoch %d is %d behind current %d (window %d)",
 			hdrEpoch, cur-hdrEpoch, cur, c.resumeWindow)
 	}
@@ -410,7 +409,7 @@ func (c *Conn) handleResume(hdrEpoch uint64, ticket []byte) error {
 		if s := c.resumeStats; s != nil {
 			s.RejectedState.Add(1)
 		}
-		c.tr.Emit(c.traceID, trace.KindResumeReject, hdrEpoch, "state")
+		c.ec.Emit(trace.KindResumeReject, hdrEpoch, "state")
 		return errors.New("session: resume on an established session")
 	}
 	plain, err := sealer.OpenResume(ticket)
@@ -418,7 +417,7 @@ func (c *Conn) handleResume(hdrEpoch uint64, ticket []byte) error {
 		if s := c.resumeStats; s != nil {
 			s.RejectedForged.Add(1)
 		}
-		c.tr.Emit(c.traceID, trace.KindResumeReject, hdrEpoch, "forged")
+		c.ec.Emit(trace.KindResumeReject, hdrEpoch, "forged")
 		return fmt.Errorf("session: resume: %w", err)
 	}
 	st, err := decodeState(plain)
@@ -426,7 +425,7 @@ func (c *Conn) handleResume(hdrEpoch uint64, ticket []byte) error {
 		if s := c.resumeStats; s != nil {
 			s.RejectedForged.Add(1)
 		}
-		c.tr.Emit(c.traceID, trace.KindResumeReject, hdrEpoch, "forged")
+		c.ec.Emit(trace.KindResumeReject, hdrEpoch, "forged")
 		return err
 	}
 	if st.epoch != hdrEpoch {
@@ -435,7 +434,7 @@ func (c *Conn) handleResume(hdrEpoch uint64, ticket []byte) error {
 		if s := c.resumeStats; s != nil {
 			s.RejectedForged.Add(1)
 		}
-		c.tr.Emit(c.traceID, trace.KindResumeReject, hdrEpoch, "forged")
+		c.ec.Emit(trace.KindResumeReject, hdrEpoch, "forged")
 		return fmt.Errorf("session: resume header epoch %d contradicts sealed epoch %d", hdrEpoch, st.epoch)
 	}
 	// Replay gate, after authenticity (so garbage cannot pollute the
@@ -446,25 +445,25 @@ func (c *Conn) handleResume(hdrEpoch uint64, ticket []byte) error {
 		if s := c.resumeStats; s != nil {
 			s.RejectedReplayed.Add(1)
 		}
-		c.tr.Emit(c.traceID, trace.KindResumeReject, hdrEpoch, "replayed")
+		c.ec.Emit(trace.KindResumeReject, hdrEpoch, "replayed")
 		return errors.New("session: resumption ticket already presented (tickets are single-use)")
 	}
 	if err := lin.ImportRekeys(st.froms, st.seeds); err != nil {
 		if s := c.resumeStats; s != nil {
 			s.RejectedState.Add(1)
 		}
-		c.tr.Emit(c.traceID, trace.KindResumeReject, hdrEpoch, "state")
+		c.ec.Emit(trace.KindResumeReject, hdrEpoch, "state")
 		return fmt.Errorf("session: resume: %w", err)
 	}
 	if len(st.froms) > 0 {
 		// Dialects cached before adoption at post-boundary epochs were
 		// compiled under the base family; drop them before the fresh
 		// compile below caches the lineage's view of the same epochs.
-		c.dropDialectsFrom(st.froms[0])
+		c.ec.DropFrom(st.froms[0])
 	}
 	// Compile the resumed epoch's dialect before acking, so the ack
 	// guarantees readiness — the same contract as the rekey handshake.
-	if _, err := c.dialect(st.epoch); err != nil {
+	if _, err := c.ec.Dialect(st.epoch); err != nil {
 		return err
 	}
 	// The odometer is stored before the rekey base derived from it:
@@ -481,14 +480,14 @@ func (c *Conn) handleResume(hdrEpoch uint64, ticket []byte) error {
 	c.rekeyBase = st.bytesMoved - st.sinceRekey
 	c.resumed = true
 	c.mu.Unlock()
-	c.t.Advance(st.epoch)
+	c.ec.Raise(st.epoch)
 	if err := c.sendResumeAck(st.epoch, ticket); err != nil {
 		return err
 	}
 	if s := c.resumeStats; s != nil {
 		s.Accepts.Add(1)
 	}
-	c.tr.Emit(c.traceID, trace.KindResumeAccept, st.epoch, "")
+	c.ec.Emit(trace.KindResumeAccept, st.epoch, "")
 	// The ticket just presented is spent (single-use under a replay
 	// cache): if re-issue is on, immediately re-arm the peer with a
 	// fresh ticket for its next migration. Stream ordering puts this
@@ -505,7 +504,7 @@ func (c *Conn) sendResumeAck(epoch uint64, ticket []byte) error {
 	binary.BigEndian.PutUint64(p[4:12], epoch)
 	d := ticketDigest(ticket)
 	copy(p[12:20], d[:])
-	c.maskControl(epoch, p[:])
+	c.ec.MaskControl(epoch, p[:])
 	return c.t.sendFrameAt(frame.KindResumeAck, epoch, p[:])
 }
 
@@ -517,7 +516,7 @@ func (c *Conn) handleResumeAck(hdrEpoch uint64, payload []byte) error {
 	if len(payload) != resumeAckLen {
 		return fmt.Errorf("session: resume ack of %d bytes, want %d", len(payload), resumeAckLen)
 	}
-	c.maskControl(hdrEpoch, payload)
+	c.ec.MaskControl(hdrEpoch, payload)
 	if binary.BigEndian.Uint32(payload[:4]) != resumeAckMagic {
 		return errors.New("session: resume ack failed unmasking (forged or wrong dialect family)")
 	}
@@ -532,8 +531,8 @@ func (c *Conn) handleResumeAck(hdrEpoch uint64, payload []byte) error {
 		c.resumeDrops = 0
 	}
 	c.mu.Unlock()
-	if c.lat != nil && !sentAt.IsZero() {
-		c.lat.ResumeRTT.ObserveDuration(time.Since(sentAt))
+	if c.ec.lat != nil && !sentAt.IsZero() {
+		c.ec.lat.ResumeRTT.ObserveDuration(time.Since(sentAt))
 	}
 	return nil
 }
@@ -577,7 +576,7 @@ func (c *Conn) maybeReissue() error {
 // reject garbage, they never silently eat it), and StoredTicket only
 // ever returns tickets that would verify on presentation.
 func (c *Conn) handleTicket(payload []byte) error {
-	sealer, ok := c.versions.(TicketSealer)
+	sealer, ok := c.ec.versions.(TicketSealer)
 	if !ok {
 		return errors.New("session: peer pushed a ticket but versioner cannot open tickets")
 	}

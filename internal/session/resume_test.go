@@ -21,7 +21,7 @@ import (
 // on per-session views in practice).
 func resumePair(t *testing.T, rotA, rotB *core.Rotation, aopts, bopts Options) (*Conn, *Conn) {
 	t.Helper()
-	a, b, err := PairOpts(rotA.View(), rotB.View(), aopts, bopts)
+	a, b, err := Pair(rotA.View(), rotB.View(), aopts, bopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func newTestRotations(t *testing.T, seed int64) (*core.Rotation, *core.Rotation)
 // migration subsystem uses.
 func lineageOf(t *testing.T, c *Conn) ([]uint64, []int64) {
 	t.Helper()
-	lin, ok := c.versions.(Lineage)
+	lin, ok := c.ec.versions.(Lineage)
 	if !ok {
 		t.Fatal("versioner has no lineage")
 	}
@@ -101,7 +101,7 @@ func TestResumeRoundtrip(t *testing.T) {
 
 	// The connection dies; both sides meet again over a fresh duplex.
 	ca, cb := newPipe()
-	b2, err := NewConnOpts(cb, rotB.View(), Options{})
+	b2, err := NewConn(cb, rotB.View(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestResumeScheduledSession(t *testing.T) {
 	clock.Advance(3 * time.Minute) // epoch 5
 
 	ca, cb := newPipe()
-	b2, err := NewConnOpts(cb, rotB.View(), aopts)
+	b2, err := NewConn(cb, rotB.View(), aopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestResumeRacingCrossedRekey(t *testing.T) {
 	bopts.RekeyEvery = 1
 	bopts.SeedSource = func() (int64, error) { return 0x9999, nil }
 	bopts.ResumeStats = &stats
-	b2, err := NewConnOpts(cb, rotB.View(), bopts)
+	b2, err := NewConn(cb, rotB.View(), bopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestResumeRejections(t *testing.T) {
 		var stats metrics.ResumeCounters
 		opts.ResumeStats = &stats
 		ca, cb := newPipe()
-		acc, err := NewConnOpts(cb, rotB.View(), opts)
+		acc, err := NewConn(cb, rotB.View(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -442,7 +442,7 @@ func TestResumeStaticUnsupported(t *testing.T) {
 		t.Fatal(err)
 	}
 	ca, _ := newPipe()
-	c, err := NewConn(ca, Fixed(proto.Graph))
+	c, err := NewConn(ca, Fixed(proto.Graph), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +479,7 @@ func TestResumeVolumeTriggerContinuity(t *testing.T) {
 	moved := a.BytesMoved()
 
 	ca, cb := newPipe()
-	b2, err := NewConnOpts(cb, rotB.View(), Options{})
+	b2, err := NewConn(cb, rotB.View(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +594,7 @@ func TestExportCompactsLineage(t *testing.T) {
 
 	// The compacted ticket resumes: both sides agree on the family.
 	ca, cb := newPipe()
-	b2, err := NewConnOpts(cb, rotB.View(), Options{})
+	b2, err := NewConn(cb, rotB.View(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

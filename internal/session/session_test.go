@@ -163,7 +163,7 @@ func rotationPair(t *testing.T, spec string, seed int64, perNode int) (*Conn, *C
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b, err := Pair(rotA, rotB)
+	a, b, err := Pair(rotA, rotB, Options{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,11 +286,11 @@ func TestLiveRotationPipe(t *testing.T) {
 	connA, connB := net.Pipe()
 	defer connA.Close()
 	defer connB.Close()
-	a, err := NewConn(connA, rotA)
+	a, err := NewConn(connA, rotA, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewConn(connB, rotB)
+	b, err := NewConn(connB, rotB, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,11 +412,11 @@ func TestConcurrentSendersEpochBump(t *testing.T) {
 	connA, connB := net.Pipe()
 	defer connA.Close()
 	defer connB.Close()
-	a, err := NewConn(connA, rotA)
+	a, err := NewConn(connA, rotA, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewConn(connB, rotB)
+	b, err := NewConn(connB, rotB, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +511,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rw := &bytes.Buffer{}
-	c, err := NewConn(rw, Fixed(proto.Graph))
+	c, err := NewConn(rw, Fixed(proto.Graph), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

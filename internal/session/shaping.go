@@ -206,9 +206,10 @@ func (c *Conn) unshape(epoch uint64, buf []byte) (payload []byte, done bool, err
 // emitCoverIfIdle writes one cover frame when the session has been
 // quiet past the profile's CoverIdle threshold: the decoy the idle
 // scheduler exists for. The cover payload is sampled chaff at a
-// profile-sampled length, sent under the current epoch, and counts
-// toward the volume-rekey odometer like any framed traffic. It reports
-// whether a cover was sent.
+// profile-sampled length, sent under the current epoch. It leaves the
+// volume odometer alone: receivers discard covers uncounted, and a cover
+// counted here would make a fresh acceptor refuse a resume as
+// established. It reports whether a cover was sent.
 func (c *Conn) emitCoverIfIdle() (bool, error) {
 	sh := c.shaper
 	if sh == nil || sh.base.CoverIdle <= 0 {
@@ -231,11 +232,10 @@ func (c *Conn) emitCoverIfIdle() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	c.bytesMoved.Add(uint64(len(buf)) + frame.EpochHeaderLen)
 	if st := sh.stats; st != nil {
 		st.CoverSent.Add(1)
 	}
-	c.tr.Emit(c.traceID, trace.KindCoverBurst, epoch, "")
+	c.ec.Emit(trace.KindCoverBurst, epoch, "")
 	return true, nil
 }
 

@@ -63,7 +63,7 @@ func TestShapedRoundtrip(t *testing.T) {
 			}
 			clk := newFakeShapeClock()
 			var sa, sb metrics.ShapeCounters
-			a, b, err := PairOpts(rotA.View(), rotB.View(),
+			a, b, err := Pair(rotA.View(), rotB.View(),
 				shapedOpts(shape.Default(), clk, &sa), shapedOpts(shape.Default(), clk, &sb))
 			if err != nil {
 				t.Fatal(err)
@@ -102,7 +102,7 @@ func TestShapedFragmentation(t *testing.T) {
 		MaxGap: 10 * time.Microsecond,
 	}
 	var sa, sb metrics.ShapeCounters
-	a, b, err := PairOpts(rotA.View(), rotB.View(),
+	a, b, err := Pair(rotA.View(), rotB.View(),
 		shapedOpts(prof, clk, &sa), shapedOpts(prof, clk, &sb))
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestCoversNeverSurface(t *testing.T) {
 	clk := newFakeShapeClock()
 	prof := shape.Default()
 	var sa, sb metrics.ShapeCounters
-	a, b, err := PairOpts(rotA.View(), rotB.View(),
+	a, b, err := Pair(rotA.View(), rotB.View(),
 		shapedOpts(prof, clk, &sa), shapedOpts(prof, clk, &sb))
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestCoverCompatibleWithUnshapedPeer(t *testing.T) {
 	rotA, rotB := newTestRotations(t, 61)
 	clk := newFakeShapeClock()
 	var sa, sb metrics.ShapeCounters
-	a, b, err := PairOpts(rotA.View(), rotB.View(),
+	a, b, err := Pair(rotA.View(), rotB.View(),
 		shapedOpts(shape.Default(), clk, &sa), Options{ShapeStats: &sb})
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +286,7 @@ func TestShapedPacingPreservesOrder(t *testing.T) {
 	clk := newFakeShapeClock()
 	start := clk.Now()
 	var sa, sb metrics.ShapeCounters
-	a, b, err := PairOpts(rotA.View(), rotB.View(),
+	a, b, err := Pair(rotA.View(), rotB.View(),
 		shapedOpts(shape.Default(), clk, &sa), shapedOpts(shape.Default(), clk, &sb))
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +343,7 @@ func TestUnshapeRejectsMalformedTrailer(t *testing.T) {
 	rotA, rotB := newTestRotations(t, 71)
 	clk := newFakeShapeClock()
 	var sa metrics.ShapeCounters
-	a, b, err := PairOpts(rotA.View(), rotB.View(),
+	a, b, err := Pair(rotA.View(), rotB.View(),
 		shapedOpts(shape.Default(), clk, &sa), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +376,7 @@ func TestUnshapeRejectsEpochTornFragments(t *testing.T) {
 	rotA, rotB := newTestRotations(t, 73)
 	clk := newFakeShapeClock()
 	var sa metrics.ShapeCounters
-	a, b, err := PairOpts(rotA.View(), rotB.View(),
+	a, b, err := Pair(rotA.View(), rotB.View(),
 		shapedOpts(shape.Default(), clk, &sa), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -443,7 +443,7 @@ func TestShapedResumePreservesProfile(t *testing.T) {
 	ca, cb := newPipe()
 	var sa2, sb2 metrics.ShapeCounters
 	b2opts := shapedOpts(prof, clk, &sb2)
-	b2, err := NewConnOpts(cb, rotB.View(), b2opts)
+	b2, err := NewConn(cb, rotB.View(), b2opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,6 +466,48 @@ func TestShapedResumePreservesProfile(t *testing.T) {
 	exchange(t, b2, a2, build, r)
 	if sa2.Snapshot().ShapedFrames == 0 {
 		t.Fatal("resumed session sent unshaped frames")
+	}
+}
+
+// TestShapedCoverBeforeResume: a freshly dialled shaped acceptor whose
+// idle cover leaves before the resume frame arrives still accepts the
+// resume — a cover is chaff, not traffic, so it does not make the
+// session established — and afterwards both peers' odometers agree,
+// because covers count on neither side.
+func TestShapedCoverBeforeResume(t *testing.T) {
+	rotA, rotB := newTestRotations(t, 83)
+	clk := newFakeShapeClock()
+	prof := shape.Default()
+	var sa, sb metrics.ShapeCounters
+	a, b := resumePair(t, rotA, rotB, shapedOpts(prof, clk, &sa), shapedOpts(prof, clk, &sb))
+	r := rng.New(23)
+	build := specCases[0].build
+	exchange(t, a, b, build, r)
+	exchange(t, b, a, build, r)
+	ticket, err := a.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ca, cb := newPipe()
+	b2, err := NewConn(cb, rotB.View(), shapedOpts(prof, clk, &sb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Release()
+	clk.Sleep(prof.CoverIdle)
+	if sent, err := b2.emitCoverIfIdle(); err != nil || !sent {
+		t.Fatalf("acceptor cover before resume: sent=%v err=%v", sent, err)
+	}
+	a2, err := ResumeConn(ca, rotA.View(), shapedOpts(prof, clk, &sa), ticket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a2.Release()
+	exchange(t, a2, b2, build, r) // b2 adopts the ticket, then decodes
+	exchange(t, b2, a2, build, r) // a2 drops the cover, reads the ack, decodes
+	if ma, mb := a2.BytesMoved(), b2.BytesMoved(); ma != mb {
+		t.Fatalf("odometers disagree after resume: resumed %d, acceptor %d", ma, mb)
 	}
 }
 
@@ -520,7 +562,7 @@ func soakSession(seed int64, prof shape.Profile) error {
 	var sa, sb metrics.ShapeCounters
 	aopts := Options{Shape: &prof, ShapeStats: &sa}
 	bopts := Options{Shape: &prof, ShapeStats: &sb}
-	a, b, err := PairOpts(rotA.View(), rotB.View(), aopts, bopts)
+	a, b, err := Pair(rotA.View(), rotB.View(), aopts, bopts)
 	if err != nil {
 		return err
 	}
@@ -571,7 +613,7 @@ func soakSession(seed int64, prof shape.Profile) error {
 	a.Release()
 	b.Release()
 	ca, cb := newPipe()
-	b2, err := NewConnOpts(cb, rotB.View(), bopts)
+	b2, err := NewConn(cb, rotB.View(), bopts)
 	if err != nil {
 		return err
 	}

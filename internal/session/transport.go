@@ -60,14 +60,7 @@ func (t *Transport) Epoch() uint64 { return t.epoch.Load() }
 // Advance raises the send epoch to epoch. Epochs are monotonic: a value
 // at or below the current epoch is ignored, so racing advances (local
 // rotation vs. following a peer) settle on the highest epoch seen.
-func (t *Transport) Advance(epoch uint64) {
-	for {
-		cur := t.epoch.Load()
-		if epoch <= cur || t.epoch.CompareAndSwap(cur, epoch) {
-			return
-		}
-	}
-}
+func (t *Transport) Advance(epoch uint64) { raiseEpoch(&t.epoch, epoch) }
 
 // SendPayload writes one payload tagged with the current epoch.
 func (t *Transport) SendPayload(payload []byte) error {

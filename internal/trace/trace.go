@@ -28,8 +28,8 @@ const (
 	KindSessionOpen Kind = iota + 1
 	// KindSessionClose records a session shutting down.
 	KindSessionClose
-	// KindEpochCross records a stream session adopting a new schedule
-	// epoch; Epoch is the epoch crossed into.
+	// KindEpochCross records a stream or packet session adopting a new
+	// schedule epoch; Epoch is the epoch crossed into.
 	KindEpochCross
 	// KindRekeyPropose records a rekey proposal sent; Epoch is the
 	// proposed boundary.

@@ -6,8 +6,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"protoobf"
+	"protoobf/internal/session/sched"
 )
 
 // driveRekey completes one in-band rekey between a (the proposer) and b
@@ -270,5 +272,113 @@ func TestTraceSoak64(t *testing.T) {
 	}
 	if m.Latency.ResumeRTT.Count != rounds {
 		t.Fatalf("resume RTT observations = %d, want %d", m.Latency.ResumeRTT.Count, rounds)
+	}
+}
+
+// TestEpochCoreParity drives one scripted lifecycle over a stream
+// session pair and a packet session pair on a fake clock — open, scheduled
+// epoch steps, a rekey, more steps, close — and checks that both
+// transports report it identically: the same session-open, epoch-cross
+// and session-close trace counts, and one EpochBoundary observation per
+// crossing. Both transports run the lifecycle hooks of one shared epoch
+// core.
+func TestEpochCoreParity(t *testing.T) {
+	type peer interface {
+		messenger
+		Rekey(seed int64) (uint64, error)
+		Close() error
+	}
+	transports := []struct {
+		name string
+		open func(t *testing.T, ep *protoobf.Endpoint) (a, b peer)
+	}{
+		{"stream", func(t *testing.T, ep *protoobf.Endpoint) (peer, peer) {
+			a, b := openTracedPair(t, ep)
+			return a, b
+		}},
+		{"packet", func(t *testing.T, ep *protoobf.Endpoint) (peer, peer) {
+			ca, cb := protoobf.PacketPipe()
+			a, err := ep.PacketSession(ca)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := ep.PacketSession(cb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a, b
+		}},
+	}
+	const before, after = 3, 2 // scheduled steps around the rekey
+	genesis := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	type report struct {
+		events     map[string]int
+		boundaries uint64
+	}
+	var reports []report
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			clock := sched.NewFakeClock(genesis)
+			schedule := protoobf.NewSchedule(genesis, time.Minute).WithClock(clock.Now)
+			ep, err := protoobf.NewEndpoint(beaconSpec, protoobf.Options{PerNode: 1, Seed: 67},
+				protoobf.WithTrace(256), protoobf.WithSchedule(schedule))
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := tr.open(t, ep)
+			seq := uint64(0)
+			both := func() {
+				roundTrip(t, a, b, seq)
+				roundTrip(t, b, a, seq+1)
+				seq += 2
+			}
+			step := func(n int) {
+				for i := 0; i < n; i++ {
+					clock.Advance(time.Minute)
+					both()
+				}
+			}
+			both()
+			step(before)
+			if _, err := a.Rekey(0x7A11); err != nil {
+				t.Fatal(err)
+			}
+			both() // the peer applies the rekey (and the proposer commits)
+			// The rekey moved both peers to the next epoch already, so the
+			// first step after it crosses nothing.
+			step(after)
+			if err := a.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rep := report{events: map[string]int{}, boundaries: ep.Metrics().Latency.EpochBoundary.Count}
+			for _, e := range ep.Trace() {
+				rep.events[e.Kind.String()]++
+			}
+			crossings := 2 * (before + after - 1)
+			for kind, want := range map[string]int{"session-open": 2, "epoch-cross": crossings, "session-close": 2} {
+				if got := rep.events[kind]; got != want {
+					t.Errorf("%s events = %d, want %d", kind, got, want)
+				}
+			}
+			if rep.boundaries != uint64(crossings) {
+				t.Errorf("EpochBoundary observations = %d, want %d (one per crossing)", rep.boundaries, crossings)
+			}
+			reports = append(reports, rep)
+		})
+	}
+	if len(reports) != 2 {
+		return
+	}
+	s, p := reports[0], reports[1]
+	for _, kind := range []string{"session-open", "epoch-cross", "session-close"} {
+		if s.events[kind] != p.events[kind] {
+			t.Errorf("%s: stream %d, packet %d", kind, s.events[kind], p.events[kind])
+		}
+	}
+	if s.boundaries != p.boundaries {
+		t.Errorf("EpochBoundary observations: stream %d, packet %d", s.boundaries, p.boundaries)
 	}
 }
