@@ -63,12 +63,15 @@ func TestRunAdversaryWorkload(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("BENCH JSON malformed: %v", err)
 	}
-	for _, key := range []string{"schema", "run_id", "created", "distinguishers", "mutation", "covert", "perf"} {
+	for _, key := range []string{"schema", "run_id", "created", "distinguishers", "mutation", "covert"} {
 		if _, ok := rep[key]; !ok {
 			t.Errorf("BENCH JSON lacks %q", key)
 		}
 	}
-	if got := rep["schema"]; got != "protoobf-bench/v1" {
+	if _, ok := rep["perf"]; ok {
+		t.Error("BENCH JSON carries the removed perf block")
+	}
+	if got := rep["schema"]; got != "protoobf-bench/v2" {
 		t.Errorf("schema = %v", got)
 	}
 }

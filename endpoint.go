@@ -27,9 +27,7 @@ import (
 // Sessions of one Endpoint share compiled dialects but never rekey
 // state: each session resolves epochs through its own rekey view, so an
 // in-band rekey negotiated on one connection (WithRekeyEvery or
-// Session.Rekey) switches only that connection's family. This is what
-// the deprecated per-session constructors could not offer — they bound
-// rekey state to the shared Rotation itself.
+// Session.Rekey) switches only that connection's family.
 //
 // An Endpoint is safe for concurrent use.
 type Endpoint struct {
@@ -497,8 +495,9 @@ func (ep *Endpoint) TraceEnabled() bool { return ep.trace.Enabled() }
 
 // Rotation exposes the endpoint's shared dialect family for inspection
 // (cache introspection, direct Version access). It is nil for static
-// endpoints. Mutating it via deprecated single-owner paths while
-// sessions are live defeats the endpoint's sharing guarantees.
+// endpoints. Its own Rekey/DropRekey act on the Rotation's default
+// view, which no endpoint session reads; Bound re-sizes the cache every
+// session shares.
 func (ep *Endpoint) Rotation() *Rotation { return ep.rot }
 
 // Listener accepts ready sessions of one Endpoint. It is a thin wrapper

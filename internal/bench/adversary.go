@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,24 +8,20 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"testing"
 	"time"
 
 	"protoobf"
 	"protoobf/internal/adversary"
-	"protoobf/internal/core"
-	"protoobf/internal/session"
 )
 
 // BenchSchema names the BENCH_<runid>.json layout; bump it when a field
 // changes meaning, so trajectory tooling can refuse files it does not
 // understand.
-const BenchSchema = "protoobf-bench/v1"
+const BenchSchema = "protoobf-bench/v2"
 
 // AdversaryConfig parameterizes the standing adversary run: the
-// distinguisher panel, the mutation campaign, the covert-capacity
-// estimate and the perf trajectory, all folded into one machine-readable
-// report.
+// distinguisher panel, the mutation campaign and the covert-capacity
+// estimate, all folded into one machine-readable report.
 type AdversaryConfig struct {
 	// RunID names the report file BENCH_<RunID>.json; empty derives one
 	// from the creation timestamp.
@@ -45,9 +40,6 @@ type AdversaryConfig struct {
 	// CovertEpochs is the number of dialect versions probed for the
 	// capacity estimate (default 32).
 	CovertEpochs int
-	// PerfIters scales the perf loops (default 2000 roundtrips); unit
-	// tests shrink it.
-	PerfIters int
 	// Shape additionally runs the shaped evaluation: both captures are
 	// re-taken under the default traffic-shaping profile and the
 	// distinguisher panel re-run on them, reporting the shaped
@@ -97,31 +89,6 @@ func (s *ShapingReport) GateFailures() []adversary.Accuracy {
 	return bad
 }
 
-// PerfReport is the performance half of the trajectory: numbers that
-// regress silently unless a file tracks them.
-type PerfReport struct {
-	// SteadyNsPerOp and SteadyAllocsPerOp measure one Send plus one raw
-	// payload Recv on a warm static session — the pooled-buffer hot path
-	// (allocs/op is 0 when the pools hold).
-	SteadyNsPerOp     int64   `json:"session_steady_ns_per_op"`
-	SteadyAllocsPerOp float64 `json:"session_steady_allocs_per_op"`
-	// RoundtripNsPerOp measures a full obfuscated Send plus
-	// dialect-decoding Recv through an Endpoint session pair.
-	RoundtripNsPerOp     int64   `json:"session_roundtrip_ns_per_op"`
-	RoundtripAllocsPerOp float64 `json:"session_roundtrip_allocs_per_op"`
-	// EndpointMsgsPerSec is the many-sessions-one-family throughput of
-	// the endpoint workload, and DemandCompiles the dialect compiles its
-	// sessions paid on their hot paths (the boundary-crossing cost the
-	// prefetch daemon exists to remove).
-	EndpointMsgsPerSec float64 `json:"endpoint_msgs_per_sec"`
-	DemandCompiles     uint64  `json:"demand_compiles"`
-	// ColdVersionNsPerOp is one demand compile of a fresh epoch version
-	// (what a session pays at an unprefetched boundary);
-	// WarmVersionNsPerOp is the same lookup answered by the shared cache.
-	ColdVersionNsPerOp int64 `json:"cold_version_ns_per_op"`
-	WarmVersionNsPerOp int64 `json:"warm_version_ns_per_op"`
-}
-
 // BenchReport is the machine-readable outcome of one adversary run —
 // one point on the repo's BENCH trajectory.
 type BenchReport struct {
@@ -134,7 +101,6 @@ type BenchReport struct {
 	Distinguishers []adversary.Accuracy       `json:"distinguishers"`
 	Mutation       adversary.MutationResult   `json:"mutation"`
 	Covert         []adversary.CovertEstimate `json:"covert"`
-	Perf           PerfReport                 `json:"perf"`
 	Latency        *LatencyReport             `json:"latency,omitempty"`
 	Shaping        *ShapingReport             `json:"shaping,omitempty"`
 	Gateway        *GatewayReport             `json:"gateway,omitempty"`
@@ -157,9 +123,6 @@ func RunAdversary(ctx context.Context, cfg AdversaryConfig) (*BenchReport, error
 	}
 	if cfg.CovertEpochs <= 0 {
 		cfg.CovertEpochs = 32
-	}
-	if cfg.PerfIters <= 0 {
-		cfg.PerfIters = 2000
 	}
 	created := time.Now().UTC()
 	if cfg.RunID == "" {
@@ -228,10 +191,6 @@ func RunAdversary(ctx context.Context, cfg AdversaryConfig) (*BenchReport, error
 		return nil, err
 	}
 
-	perf, err := measurePerf(ctx, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("bench: perf trajectory: %w", err)
-	}
 	lat, err := measureLatency(ctx, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("bench: latency trajectory: %w", err)
@@ -247,7 +206,6 @@ func RunAdversary(ctx context.Context, cfg AdversaryConfig) (*BenchReport, error
 		Distinguishers: adversary.Evaluate(plain, obf, cfg.Window),
 		Mutation:       *mut,
 		Covert:         covert,
-		Perf:           *perf,
 		Latency:        lat,
 		Shaping:        shaping,
 	}, nil
@@ -262,185 +220,9 @@ func traceSpan(tr *adversary.Trace) time.Duration {
 	return tr.Frames[len(tr.Frames)-1].At.Sub(tr.Frames[0].At)
 }
 
-// advPingSpec is the reference-free message of the steady-state loops
-// (mirrors the root benchmark's ping shape).
-const advPingSpec = `
-protocol advping;
-root seq m end {
-    uint a 2;
-    uint b 4;
-    bytes payload fixed 8;
-}
-`
-
-// measurePerf runs the bounded perf loops. These are trajectory
-// numbers — sized for run-to-run comparability, not for the statistical
-// rigor of go test -bench.
-func measurePerf(ctx context.Context, cfg AdversaryConfig) (*PerfReport, error) {
-	var p PerfReport
-
-	// Steady state: warm static session into a drained buffer.
-	proto, err := core.Compile(advPingSpec, core.ObfuscationOptions{})
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	steady, err := session.NewConn(&buf, session.Fixed(proto.Graph), session.Options{})
-	if err != nil {
-		return nil, err
-	}
-	defer steady.Release()
-	sm, err := buildPing(steady)
-	if err != nil {
-		return nil, err
-	}
-	tr := steady.Transport()
-	scratch := make([]byte, 0, 64)
-	steadyOp := func() error {
-		if err := steady.Send(sm); err != nil {
-			return err
-		}
-		out, _, err := tr.RecvPayload(scratch[:0])
-		if err != nil {
-			return err
-		}
-		scratch = out
-		return nil
-	}
-	p.SteadyNsPerOp, p.SteadyAllocsPerOp, err = timeOp(cfg.PerfIters*4, steadyOp)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Roundtrip: obfuscated Endpoint session pair over a pipe.
-	opts := protoobf.Options{PerNode: cfg.PerNode, Seed: cfg.Seed}
-	epA, err := protoobf.NewEndpoint(advPingSpec, opts)
-	if err != nil {
-		return nil, err
-	}
-	epB, err := protoobf.NewEndpoint(advPingSpec, opts)
-	if err != nil {
-		return nil, err
-	}
-	ca, cb := protoobf.Pipe()
-	a, err := epA.Session(ca)
-	if err != nil {
-		return nil, err
-	}
-	defer a.Release()
-	b, err := epB.Session(cb)
-	if err != nil {
-		return nil, err
-	}
-	defer b.Release()
-	rm, err := buildPing(a)
-	if err != nil {
-		return nil, err
-	}
-	tripOp := func() error {
-		if err := a.Send(rm); err != nil {
-			return err
-		}
-		_, err := b.Recv()
-		return err
-	}
-	p.RoundtripNsPerOp, p.RoundtripAllocsPerOp, err = timeOp(cfg.PerfIters, tripOp)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Boundary-crossing cost: a demand compile of a fresh epoch version
-	// versus the same lookup warm from the cache.
-	rot, err := core.NewRotation(advPingSpec, core.ObfuscationOptions{PerNode: cfg.PerNode, Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	coldEpoch := uint64(0)
-	coldIters := cfg.PerfIters / 20
-	if coldIters < 8 {
-		coldIters = 8
-	}
-	p.ColdVersionNsPerOp, _, err = timeOp(coldIters, func() error {
-		_, err := rot.Version(coldEpoch)
-		coldEpoch++
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	p.WarmVersionNsPerOp, _, err = timeOp(cfg.PerfIters*4, func() error {
-		_, err := rot.Version(0)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Endpoint throughput and the demand compiles its sessions paid.
-	eres, err := RunEndpoint(ctx, EndpointConfig{
-		Sessions:     8,
-		Epochs:       4,
-		MsgsPerEpoch: 8,
-		PerNode:      cfg.PerNode,
-		Seed:         cfg.Seed,
-		Window:       64,
-	})
-	if err != nil {
-		return nil, err
-	}
-	p.EndpointMsgsPerSec = eres.MsgsPerSec
-	p.DemandCompiles = eres.SrvMetrics.Rotation.DemandCompiles() + eres.CliMetrics.Rotation.DemandCompiles()
-	return &p, nil
-}
-
-// buildPing composes the fixed ping message on c.
-func buildPing(c *session.Conn) (m *protoobf.Message, err error) {
-	if m, err = c.NewMessage(); err != nil {
-		return nil, err
-	}
-	s := m.Scope()
-	if err := s.SetUint("a", 7); err != nil {
-		return nil, err
-	}
-	if err := s.SetUint("b", 1234); err != nil {
-		return nil, err
-	}
-	if err := s.SetBytes("payload", []byte("01234567")); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// timeOp measures op over iters iterations (after one warmup call) and
-// its steady-state allocations per op.
-func timeOp(iters int, op func() error) (nsPerOp int64, allocsPerOp float64, err error) {
-	if err := op(); err != nil {
-		return 0, 0, err
-	}
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if err := op(); err != nil {
-			return 0, 0, err
-		}
-	}
-	nsPerOp = time.Since(start).Nanoseconds() / int64(iters)
-	allocsPerOp = testing.AllocsPerRun(8, func() {
-		if e := op(); e != nil && err == nil {
-			err = e
-		}
-	})
-	return nsPerOp, allocsPerOp, err
-}
-
 // Validate checks the report is structurally sound before it is written
 // or consumed: schema and identity fields present, every accuracy in
-// range, the mutation tallies consistent, and the perf numbers positive.
+// range and the mutation tallies consistent.
 // It does NOT require zero crashes — a report documenting a crash is
 // valid (and alarming); callers decide whether to fail on it.
 func (r *BenchReport) Validate() error {
@@ -547,11 +329,6 @@ func (r *BenchReport) validateAdversary() error {
 			return fmt.Errorf("bench: shaping pad overhead %.3f negative — shaped captures cannot shrink the wire", r.Shaping.PadOverhead)
 		}
 	}
-	if r.Perf.SteadyNsPerOp <= 0 || r.Perf.RoundtripNsPerOp <= 0 ||
-		r.Perf.ColdVersionNsPerOp <= 0 || r.Perf.WarmVersionNsPerOp <= 0 ||
-		r.Perf.EndpointMsgsPerSec <= 0 {
-		return fmt.Errorf("bench: perf numbers missing: %+v", r.Perf)
-	}
 	if l := r.Latency; l != nil {
 		for _, q := range []struct {
 			name string
@@ -619,10 +396,6 @@ func (r *BenchReport) Table() string {
 		fmt.Fprintf(&sb, "covert capacity perNode=%d: %.2f bits/msg (ceiling %.2f over %d epochs, %d distinct encodings)\n",
 			c.PerNode, c.Bits, c.MaxBits, c.Epochs, c.Distinct)
 	}
-	fmt.Fprintf(&sb, "perf: steady %d ns/op (%.1f allocs), roundtrip %d ns/op (%.1f allocs)\n",
-		r.Perf.SteadyNsPerOp, r.Perf.SteadyAllocsPerOp, r.Perf.RoundtripNsPerOp, r.Perf.RoundtripAllocsPerOp)
-	fmt.Fprintf(&sb, "      boundary: cold version %d ns/op vs warm %d ns/op; endpoint %.0f msgs/s, %d demand compiles\n",
-		r.Perf.ColdVersionNsPerOp, r.Perf.WarmVersionNsPerOp, r.Perf.EndpointMsgsPerSec, r.Perf.DemandCompiles)
 	if l := r.Latency; l != nil {
 		fmt.Fprintf(&sb, "latency (p50/p95/p99 ns, log2-bucket upper bounds):\n")
 		for _, q := range []struct {

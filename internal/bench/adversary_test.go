@@ -20,7 +20,6 @@ func smallAdversary() AdversaryConfig {
 		Window:        8,
 		MutationCases: 8,
 		CovertEpochs:  8,
-		PerfIters:     64,
 	}
 }
 
@@ -57,7 +56,7 @@ func TestRunAdversary(t *testing.T) {
 		t.Errorf("covert estimate empty: %+v", rep.Covert[1])
 	}
 	table := rep.Table()
-	for _, want := range []string{"ADVERSARY", "mutation campaign", "covert capacity", "boundary"} {
+	for _, want := range []string{"ADVERSARY", "mutation campaign", "covert capacity", "epoch boundary"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table lacks %q:\n%s", want, table)
 		}
@@ -185,7 +184,6 @@ func TestBenchReportValidateRejects(t *testing.T) {
 		{"accuracy-range", func(r *BenchReport) { r.Distinguishers[0].Accuracy = 1.5 }},
 		{"mutation-tally", func(r *BenchReport) { r.Mutation.Decoded += 3 }},
 		{"covert-range", func(r *BenchReport) { r.Covert[0].Bits = r.Covert[0].MaxBits + 1 }},
-		{"perf-missing", func(r *BenchReport) { r.Perf.RoundtripNsPerOp = 0 }},
 		{"shaping-empty", func(r *BenchReport) { r.Shaping = &ShapingReport{Profile: "x"} }},
 		{"shaping-accuracy", func(r *BenchReport) {
 			r.Shaping = &ShapingReport{Profile: "x", Shaped: []adversary.Accuracy{{Name: "length-ks", Accuracy: 2, Windows: 4}}}

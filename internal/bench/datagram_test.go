@@ -60,7 +60,8 @@ func TestRunDatagramSmall(t *testing.T) {
 }
 
 // TestDatagramReportJSON pins the report through the BENCH schema:
-// a datagram-only report validates, writes and round-trips.
+// a datagram-only report validates, writes and round-trips, and carries
+// none of the optional sections a datagram run does not fill.
 func TestDatagramReportJSON(t *testing.T) {
 	res, err := RunDatagram(context.Background(), DatagramConfig{
 		Seed: 11, Msgs: 40, MutationCases: 4,
@@ -84,6 +85,17 @@ func TestDatagramReportJSON(t *testing.T) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Optional sections a datagram run does not fill stay out of the
+	// file instead of appearing as zero-valued blocks.
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(data, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, absent := range []string{"perf", "latency", "shaping", "gateway"} {
+		if _, ok := keys[absent]; ok {
+			t.Errorf("datagram-only report carries a %q section", absent)
+		}
 	}
 	var back BenchReport
 	if err := json.Unmarshal(data, &back); err != nil {

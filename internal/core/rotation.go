@@ -3,7 +3,6 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -21,15 +20,6 @@ import (
 // demand, so the window trades a rare recompile for O(window) instead of
 // O(epochs) memory on long-lived rotations.
 const DefaultVersionWindow = 64
-
-// ErrSharedRekey reports an attempt to share one Rotation across
-// sessions when in-band rekeying is in play. A rekey negotiated on one
-// session switches the seed family under every other session using the
-// same rekey state, silently desynchronizing them from their peers; the
-// public constructors refuse the combination instead. Sessions minted
-// from an Endpoint are exempt: each holds its own rekey View, so they
-// share compiled versions without sharing rekey state.
-var ErrSharedRekey = errors.New("protoobf: a rekey-enabled Rotation cannot be shared across sessions (use an Endpoint, whose sessions rekey independently)")
 
 // Rotation implements the deployment model sketched in the paper's
 // conclusion: "new obfuscated versions of the protocol can be easily
@@ -52,8 +42,9 @@ var ErrSharedRekey = errors.New("protoobf: a rekey-enabled Rotation cannot be sh
 // seed — lives in a View: every session takes its own View, so in-band
 // rekeys negotiated on one session never touch another. The Rotation's
 // own Rekey/DropRekey/ControlPad methods operate on a built-in default
-// view, preserving the original single-owner behavior for code that
-// uses a Rotation directly as a session Versioner.
+// view, for code that hands a Rotation directly to a session as its
+// Versioner: the simulated peers of the bench and adversary harnesses
+// and tests, each of which owns its Rotation.
 type Rotation struct {
 	source string
 	opts   ObfuscationOptions
@@ -76,7 +67,7 @@ type Rotation struct {
 	flight   map[versionKey]*flightCall
 
 	// self is the default view behind the Rotation's own Versioner
-	// methods (legacy single-owner use).
+	// methods (a Rotation handed directly to one session).
 	self View
 
 	// stats counts compile activity: atomic adds on the compile path,
@@ -92,14 +83,6 @@ type Rotation struct {
 	// families age out after familyIdleEpochs without a demand lookup.
 	famMu sync.Mutex
 	fams  map[int64]familyTrack
-
-	// Share accounting for the deprecated public constructors: a
-	// rekey-enabled session must own its Rotation exclusively because it
-	// rekeys the default view. Endpoint sessions use independent views
-	// and never attach.
-	shareMu       sync.Mutex
-	attached      int
-	rekeyAttached bool
 }
 
 // versionKey names one compiled protocol version: the master seed of
@@ -202,34 +185,6 @@ func NewRotationCache(source string, opts ObfuscationOptions, window, shards int
 // fresh view starts on the base family with no rekey points.
 func (r *Rotation) View() *View {
 	return &View{rot: r}
-}
-
-// Attach records a public-API session binding to this Rotation,
-// enforcing the sharing rule: any number of non-rekeying sessions may
-// share a Rotation, but a rekey-enabled session must be its only
-// session ever. It returns ErrSharedRekey on violation. Detach undoes a
-// successful Attach whose session construction subsequently failed.
-func (r *Rotation) Attach(rekey bool) error {
-	r.shareMu.Lock()
-	defer r.shareMu.Unlock()
-	if r.rekeyAttached || (rekey && r.attached > 0) {
-		return ErrSharedRekey
-	}
-	if rekey {
-		r.rekeyAttached = true
-	}
-	r.attached++
-	return nil
-}
-
-// Detach rolls back an Attach (see Attach).
-func (r *Rotation) Detach(rekey bool) {
-	r.shareMu.Lock()
-	defer r.shareMu.Unlock()
-	r.attached--
-	if rekey {
-		r.rekeyAttached = false
-	}
 }
 
 // Bound re-bounds the compiled-version cache to at most window versions
@@ -377,8 +332,10 @@ func (r *Rotation) Graph(epoch uint64) (*graph.Graph, error) {
 }
 
 // Rekey switches the default view's master seed for every epoch >=
-// from. See View.Rekey; sessions that share a Rotation must not use
-// this (the public constructors enforce it via Attach).
+// from. See View.Rekey. Every session using the Rotation directly as
+// its Versioner sees the switch, so a rekeying session must own its
+// Rotation; sessions sharing one family take a View each instead, as
+// Endpoint sessions do.
 func (r *Rotation) Rekey(from uint64, seed int64) error {
 	return r.self.Rekey(from, seed)
 }
@@ -426,9 +383,11 @@ func (r *Rotation) versionFor(family int64, epoch uint64, prefetch bool) (p *Pro
 	}
 	// Re-check under the flight lock: the previous flight for this key
 	// may have completed (and cached) between our miss and the lock.
-	// Quiet lookup — this is still the same logical miss counted above.
+	// Quiet lookup — this is still the same logical miss counted above,
+	// served by that flight's compile, so it counts as a dedup.
 	if p, ok := r.cache.GetQuiet(k); ok {
 		r.flightMu.Unlock()
+		r.stats.CompileDedup.Add(1)
 		return p, false, nil
 	}
 	c := &flightCall{done: make(chan struct{})}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -303,36 +302,6 @@ func TestVersionForConcurrent(t *testing.T) {
 	}
 	if n := r.CacheLen(); n != epochs {
 		t.Errorf("cache holds %d versions after dedup, want %d", n, epochs)
-	}
-}
-
-// TestAttachSharing pins the ErrSharedRekey rules the deprecated
-// constructors enforce.
-func TestAttachSharing(t *testing.T) {
-	r := newTestRotation(t, 31)
-	// Many plain sessions may share.
-	if err := r.Attach(false); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Attach(false); err != nil {
-		t.Fatal(err)
-	}
-	// A rekey session cannot join a shared rotation.
-	if err := r.Attach(true); !errors.Is(err, ErrSharedRekey) {
-		t.Fatalf("rekey attach on shared rotation: %v", err)
-	}
-	// A rekey session alone is fine; nothing may join it afterwards.
-	solo := newTestRotation(t, 31)
-	if err := solo.Attach(true); err != nil {
-		t.Fatal(err)
-	}
-	if err := solo.Attach(false); !errors.Is(err, ErrSharedRekey) {
-		t.Fatalf("attach after rekey owner: %v", err)
-	}
-	// Detach rolls the claim back.
-	solo.Detach(true)
-	if err := solo.Attach(false); err != nil {
-		t.Fatalf("attach after detach: %v", err)
 	}
 }
 

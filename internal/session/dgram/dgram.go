@@ -448,9 +448,12 @@ func (c *Conn) encodeData(m *msgtree.Message, epoch uint64) ([]byte, error) {
 // (the family is epoch-ranged), so data in flight across the boundary
 // survives. The caller is the single initiator by convention: datagram
 // sessions resolve no proposal races, so only one side should rekey.
+// The local switch traces a rekey-propose; with no ack there is no
+// round trip to time, so a datagram rekey feeds no RekeyRTT.
 //
 // Rekeying mutates the session's Versioner; like the stream layer, a
-// rekeying Conn must own its view exclusively.
+// rekeying Conn must own its view exclusively (Endpoint sessions each
+// take their own View).
 func (c *Conn) Rekey(seed int64) (uint64, error) {
 	if !c.ec.CanRekey() {
 		return 0, errors.New("dgram: versioner does not support rekeying")
@@ -471,6 +474,7 @@ func (c *Conn) Rekey(seed int64) (uint64, error) {
 	c.lastRekey = &rekeyPoint{from: from, seed: seed}
 	c.mu.Unlock()
 	c.stats.RekeysApplied.Add(1)
+	c.ec.Emit(trace.KindRekeyPropose, from, "")
 	// The burst is sent after the local switch: a copy the peer decodes
 	// applies the same boundary, and our post-boundary data packets are
 	// already valid. Copies after the first failing to write is not
@@ -754,6 +758,8 @@ func (c *Conn) handleControl(kind byte, hdrEpoch uint64, body []byte) error {
 // handleRekey applies a peer's rekey boundary exactly once. Duplicate
 // copies of the burst — and replays of any earlier boundary — are
 // counted and discarded, which is what makes redundant proposals safe.
+// The first copy traces a rekey-ack with detail "peer", as the stream
+// acceptor does; duplicates trace nothing.
 func (c *Conn) handleRekey(from uint64, seed int64) error {
 	if !c.ec.CanRekey() {
 		c.stats.RejectedMalformed.Add(1)
@@ -774,6 +780,7 @@ func (c *Conn) handleRekey(from uint64, seed int64) error {
 	c.lastRekey = &rekeyPoint{from: from, seed: seed}
 	c.mu.Unlock()
 	c.stats.RekeysApplied.Add(1)
+	c.ec.Emit(trace.KindRekeyAck, from, "peer")
 	// Adopt the boundary as the horizon: the peer is already sending
 	// under the new family at `from`.
 	if err := c.Advance(from); err != nil {

@@ -279,9 +279,12 @@ func TestTraceSoak64(t *testing.T) {
 // session pair and a packet session pair on a fake clock — open, scheduled
 // epoch steps, a rekey, more steps, close — and checks that both
 // transports report it identically: the same session-open, epoch-cross
-// and session-close trace counts, and one EpochBoundary observation per
-// crossing. Both transports run the lifecycle hooks of one shared epoch
-// core.
+// and session-close trace counts, one EpochBoundary observation per
+// crossing, and the same rekey-propose count. The packet acceptor
+// traces the boundary it applies as a rekey-ack like the stream
+// acceptor, once for the whole redundant burst; the packet proposer has
+// no ack to trace. Both transports run
+// the lifecycle hooks of one shared epoch core.
 func TestEpochCoreParity(t *testing.T) {
 	type peer interface {
 		messenger
@@ -373,10 +376,14 @@ func TestEpochCoreParity(t *testing.T) {
 		return
 	}
 	s, p := reports[0], reports[1]
-	for _, kind := range []string{"session-open", "epoch-cross", "session-close"} {
+	for _, kind := range []string{"session-open", "epoch-cross", "session-close", "rekey-propose"} {
 		if s.events[kind] != p.events[kind] {
 			t.Errorf("%s: stream %d, packet %d", kind, s.events[kind], p.events[kind])
 		}
+	}
+	// One boundary applied once, however many redundant copies arrived.
+	if p.events["rekey-ack"] != 1 {
+		t.Errorf("packet rekey-ack events = %d, want 1", p.events["rekey-ack"])
 	}
 	if s.boundaries != p.boundaries {
 		t.Errorf("EpochBoundary observations: stream %d, packet %d", s.boundaries, p.boundaries)

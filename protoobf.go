@@ -81,12 +81,6 @@ type Graph = graph.Graph
 // use remains for inspection and custom pipelines.
 type Rotation = core.Rotation
 
-// ErrSharedRekey is returned by the deprecated session constructors when
-// a rekey-enabled Rotation would be shared across sessions — a sharing
-// pattern that silently corrupts the seed family. Sessions minted from
-// an Endpoint rekey independently and never hit this.
-var ErrSharedRekey = core.ErrSharedRekey
-
 // Compile parses a message-format specification and applies the
 // requested obfuscation. The specification language is documented in
 // internal/spec.

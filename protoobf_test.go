@@ -248,6 +248,4 @@ func ExampleNewSchedule() {
 	// epoch 37 starts in 40m0s
 }
 
-// Session-level coverage of the current API lives in endpoint_test.go;
-// the deprecated constructors keep their original tests in
-// deprecated_test.go.
+// Session-level coverage lives in endpoint_test.go.
