@@ -271,7 +271,8 @@ func BenchmarkObfuscate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, perNode := range []int{1, 4} {
+	// perNode=2 is the level every perfbench workload compiles at.
+	for _, perNode := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("perNode=%d", perNode), func(b *testing.B) {
 			r := rng.New(3)
 			b.ReportAllocs()

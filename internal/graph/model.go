@@ -16,6 +16,7 @@ package graph
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -376,6 +377,12 @@ type Node struct {
 	// AutoFill marks Terminals whose value is computed by the serializer
 	// (Length/Counter targets and synthetic RoleLengthOf fields).
 	AutoFill bool
+
+	// pos is the node's parse-order position and lastLeaf the position
+	// of the last Terminal of its subtree (-1 when it has none), as of
+	// the latest Validate. They sit in the struct's padding, so
+	// Validate indexes a graph without a per-node allocation.
+	pos, lastLeaf int32
 }
 
 // IsLeaf reports whether the node is a Terminal.
@@ -488,17 +495,15 @@ func New(protocol string, root *Node) *Graph {
 
 // Walk visits nodes depth-first, parents before children, in child order.
 // The visit function returns false to prune the subtree.
-func (g *Graph) Walk(visit func(*Node) bool) {
-	var rec func(*Node)
-	rec = func(n *Node) {
-		if n == nil || !visit(n) {
-			return
-		}
-		for _, c := range n.Children {
-			rec(c)
-		}
+func (g *Graph) Walk(visit func(*Node) bool) { walk(g.Root, visit) }
+
+func walk(n *Node, visit func(*Node) bool) {
+	if n == nil || !visit(n) {
+		return
 	}
-	rec(g.Root)
+	for _, c := range n.Children {
+		walk(c, visit)
+	}
 }
 
 // Nodes returns all nodes in depth-first order.
@@ -519,16 +524,18 @@ func (g *Graph) NodeCount() int {
 }
 
 // Find returns the node with the given name, or nil.
-func (g *Graph) Find(name string) *Node {
-	var found *Node
-	g.Walk(func(n *Node) bool {
-		if n.Name == name {
-			found = n
-			return false
+func (g *Graph) Find(name string) *Node { return find(g.Root, name) }
+
+func find(n *Node, name string) *Node {
+	if n == nil || n.Name == name {
+		return n
+	}
+	for _, c := range n.Children {
+		if hit := find(c, name); hit != nil {
+			return hit
 		}
-		return found == nil
-	})
-	return found
+	}
+	return nil
 }
 
 // FindOriginal returns the node carrying the value of the original node
@@ -550,16 +557,16 @@ func (g *Graph) FindOriginal(name string) *Node {
 
 // Rebuild restores parent pointers after structural edits.
 func (g *Graph) Rebuild() {
-	var rec func(n *Node)
-	rec = func(n *Node) {
-		for _, c := range n.Children {
-			c.Parent = n
-			rec(c)
-		}
-	}
 	if g.Root != nil {
 		g.Root.Parent = nil
-		rec(g.Root)
+		adopt(g.Root)
+	}
+}
+
+func adopt(n *Node) {
+	for _, c := range n.Children {
+		c.Parent = n
+		adopt(c)
 	}
 }
 
@@ -567,7 +574,7 @@ func (g *Graph) Rebuild() {
 func (g *Graph) FreshName(base string) string {
 	for {
 		g.nextID++
-		name := fmt.Sprintf("%s$%d", base, g.nextID)
+		name := base + "$" + strconv.Itoa(g.nextID)
 		if g.Find(name) == nil {
 			return name
 		}
@@ -594,6 +601,54 @@ func (g *Graph) Replace(old, repl *Node) error {
 		}
 	}
 	return fmt.Errorf("graph: node %q not found among children of %q", old.Name, p.Name)
+}
+
+// Checkpoint is a restore point for one rewrite at a node. It is a
+// plain value: taking one allocates only the copy of the node's
+// children.
+type Checkpoint struct {
+	g      *Graph
+	n      *Node
+	fields Node    // n's fields
+	kids   []*Node // the elements of n.Children
+	parent *Node   // n's parent, nil when n is the root
+	slot   int     // n's index in parent.Children
+	root   *Node
+	nextID int
+}
+
+// Checkpoint records everything a rewrite at n may change: n's fields,
+// the elements of n.Children (which a rewrite may permute in place),
+// n's slot in its parent, the root and the fresh-name counter. The
+// parent pointers must be current, as Validate and Rebuild leave them.
+// Restore is exact only if nothing outside that set changed since.
+func (g *Graph) Checkpoint(n *Node) Checkpoint {
+	c := Checkpoint{g: g, n: n, fields: *n, root: g.Root, nextID: g.nextID}
+	if len(n.Children) > 0 {
+		c.kids = append([]*Node(nil), n.Children...)
+	}
+	if p := n.Parent; p != nil {
+		for i, sib := range p.Children {
+			if sib == n {
+				c.parent, c.slot = p, i
+				break
+			}
+		}
+	}
+	return c
+}
+
+// Restore puts back the state recorded by Checkpoint and rebuilds the
+// parent pointers.
+func (c *Checkpoint) Restore() {
+	*c.n = c.fields
+	copy(c.n.Children, c.kids)
+	if c.parent != nil {
+		c.parent.Children[c.slot] = c.n
+	}
+	c.g.Root = c.root
+	c.g.nextID = c.nextID
+	c.g.Rebuild()
 }
 
 // Clone returns a deep copy of the graph.

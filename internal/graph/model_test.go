@@ -185,9 +185,11 @@ func TestLeavesOrder(t *testing.T) {
 
 func TestContributingLeaves(t *testing.T) {
 	g := sampleGraph(t)
-	ls := g.ContributingLeaves("plen")
+	// The contributing leaves of a name are the leaves under the node
+	// carrying its value.
+	ls := Leaves(g.FindOriginal("plen"))
 	if len(ls) != 1 || ls[0].Name != "plen" {
-		t.Fatalf("ContributingLeaves(plen) = %v", ls)
+		t.Fatalf("contributing leaves of plen = %v", ls)
 	}
 	// After a split, the combine sequence holds provenance and both
 	// halves contribute.
@@ -208,9 +210,9 @@ func TestContributingLeaves(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("graph after split invalid: %v", err)
 	}
-	ls = g.ContributingLeaves("plen")
+	ls = Leaves(g.FindOriginal("plen"))
 	if len(ls) != 2 {
-		t.Fatalf("ContributingLeaves after split = %d leaves", len(ls))
+		t.Fatalf("contributing leaves of plen after split = %d leaves", len(ls))
 	}
 }
 

@@ -77,32 +77,6 @@ func FirstLeaf(n *Node) *Node {
 	return leaves[0]
 }
 
-// ContributingLeaves returns every Terminal whose parsed bytes are needed
-// to evaluate the value of the original node named origName: all leaves
-// under the RoleWhole node for that name.
-func (g *Graph) ContributingLeaves(origName string) []*Node {
-	whole := g.FindOriginal(origName)
-	if whole == nil {
-		return nil
-	}
-	return Leaves(whole)
-}
-
-// ParseOrder returns all nodes in the order the parser visits them, which
-// for this model equals depth-first pre-order.
-func (g *Graph) ParseOrder() []*Node {
-	return g.Nodes()
-}
-
-// parseIndex maps each node to its position in parse order.
-func (g *Graph) parseIndex() map[*Node]int {
-	idx := make(map[*Node]int)
-	for i, n := range g.ParseOrder() {
-		idx[n] = i
-	}
-	return idx
-}
-
 // Ancestors returns the chain of ancestors of n from parent to root.
 func Ancestors(n *Node) []*Node {
 	var out []*Node

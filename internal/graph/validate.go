@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // ValidationError describes a violated graph invariant.
@@ -30,71 +31,120 @@ func verr(n *Node, format string, args ...any) error {
 // invertible serialization and parsing. Transformations are applied
 // tentatively and rolled back when the resulting graph does not validate,
 // which makes Validate the single source of truth for applicability.
+//
+// One pre-order pass restores the parent pointers, records each node's
+// parse position, fills the name table and checks the per-node
+// invariants; the reference, extent and prefix invariants then run over
+// that index. Validate writes to the nodes, so it must not run
+// concurrently on one graph. Re-validating a graph whose shape the
+// pooled scratch has seen allocates nothing.
 func (g *Graph) Validate() error {
 	if g.Root == nil {
 		return verr(nil, "nil root")
 	}
-	var errs []error
-	report := func(err error) { errs = append(errs, err) }
+	v := validationPool.Get().(*validation)
+	defer v.release()
 
-	g.Rebuild()
-	names := make(map[string]*Node)
-	g.Walk(func(n *Node) bool {
-		if n.Name == "" {
-			report(verr(n, "empty name"))
-		}
-		if prev, dup := names[n.Name]; dup {
-			report(verr(n, "duplicate name (also %q)", prev.Path()))
-		}
-		names[n.Name] = n
-		report2 := func(err error) {
-			if err != nil {
-				report(err)
-			}
-		}
-		report2(g.validateArity(n))
-		report2(g.validateBoundary(n))
-		report2(g.validateTerminal(n))
-		report2(g.validateComb(n))
-		report2(g.validatePair(n))
-		return true
-	})
-	if len(errs) > 0 {
-		return errors.Join(errs...)
+	g.Root.Parent = nil
+	last := int32(-1)
+	v.index(g.Root, &last)
+	if len(v.errs) > 0 {
+		return errors.Join(v.errs...)
 	}
-
-	// Reference invariants need the name table complete. The parse
-	// index is built once and shared across nodes.
-	idx := g.parseIndex()
-	g.Walk(func(n *Node) bool {
-		if err := g.validateRefs(n, idx); err != nil {
-			report(err)
+	// Reference invariants need the provenance table complete. Filled
+	// back to front, it keeps the first carrier of each name.
+	for i := len(v.order) - 1; i >= 0; i-- {
+		if n := v.order[i]; n.Origin.Role == RoleWhole || n.Origin.Role == RoleLengthOf {
+			v.origins[n.Origin.Name] = n
 		}
-		return true
-	})
+	}
+	for _, n := range v.order {
+		v.report(v.validateRefs(n))
+	}
 	// Extent invariants for End-bounded, Reversed and RepSplit nodes.
-	g.Walk(func(n *Node) bool {
-		if err := g.validateExtent(n); err != nil {
-			report(err)
-		}
-		return true
-	})
+	for _, n := range v.order {
+		v.report(validateExtent(n))
+	}
 	// Prefix-safety of delimited repetitions.
-	g.Walk(func(n *Node) bool {
+	for _, n := range v.order {
 		if n.Kind == Repetition && n.Boundary.Kind == Delimited {
-			if err := g.validateRepPrefix(n); err != nil {
-				report(err)
-			}
+			v.report(validateRepPrefix(n))
 		}
-		return true
-	})
-	if len(errs) > 0 {
-		return errors.Join(errs...)
+	}
+	if len(v.errs) > 0 {
+		return errors.Join(v.errs...)
 	}
 	return nil
 }
 
-func (g *Graph) validateArity(n *Node) error {
+// validation is the scratch of one Validate call. It comes from a pool
+// and goes back empty: a compiled graph keeps no validation state but
+// the two positions in each node.
+type validation struct {
+	order []*Node // parse order (depth-first pre-order)
+	// names maps each node name to its latest occurrence in parse
+	// order; origins maps an original name to the first node that
+	// carries its value (see FindOriginal).
+	names   map[string]*Node
+	origins map[string]*Node
+	errs    []error
+}
+
+var validationPool = sync.Pool{New: func() any {
+	return &validation{names: make(map[string]*Node), origins: make(map[string]*Node)}
+}}
+
+func (v *validation) release() {
+	clear(v.order)
+	v.order = v.order[:0]
+	clear(v.names)
+	clear(v.origins)
+	clear(v.errs)
+	v.errs = v.errs[:0]
+	validationPool.Put(v)
+}
+
+func (v *validation) report(err error) {
+	if err != nil {
+		v.errs = append(v.errs, err)
+	}
+}
+
+// index visits n's subtree in parse order. It restores the parent
+// pointers (as Rebuild does), numbers the nodes, fills the name table,
+// checks the invariants local to each node, and records each node's
+// last leaf; last carries the position of the latest leaf seen so far.
+func (v *validation) index(n *Node, last *int32) {
+	n.pos = int32(len(v.order))
+	v.order = append(v.order, n)
+	if n.Name == "" {
+		v.report(verr(n, "empty name"))
+	}
+	if prev, dup := v.names[n.Name]; dup {
+		v.report(verr(n, "duplicate name (also %q)", prev.Path()))
+	}
+	v.names[n.Name] = n
+	v.report(validateArity(n))
+	v.report(validateBoundary(n))
+	v.report(validateTerminal(n))
+	v.report(validateComb(n))
+	v.report(validatePair(n))
+
+	if n.IsLeaf() {
+		*last = n.pos
+	}
+	for _, c := range n.Children {
+		c.Parent = n
+		v.index(c, last)
+	}
+	// Leaves of the subtree sit at or after n.pos; earlier ones precede it.
+	n.lastLeaf = -1
+	if *last >= n.pos {
+		n.lastLeaf = *last
+	}
+}
+
+func validateArity(n *Node) error {
 	switch n.Kind {
 	case Terminal:
 		if len(n.Children) != 0 {
@@ -114,7 +164,16 @@ func (g *Graph) validateArity(n *Node) error {
 	return nil
 }
 
-func (g *Graph) validateBoundary(n *Node) error {
+// allowedBoundaries lists the boundary kinds each node kind may carry.
+var allowedBoundaries = [...][]BoundaryKind{
+	Terminal:   {Fixed, Delimited, Length, End},
+	Sequence:   {Delegated, Delimited, Length, End},
+	Optional:   {Delegated},
+	Repetition: {Delimited, Length, End},
+	Tabular:    {Counter},
+}
+
+func validateBoundary(n *Node) error {
 	b := n.Boundary
 	switch b.Kind {
 	case Fixed:
@@ -140,22 +199,17 @@ func (g *Graph) validateBoundary(n *Node) error {
 	if n.Kind == Repetition && b.Kind == Delegated && n.Parent != nil && n.Parent.Pair != nil {
 		return nil
 	}
-	allowed := map[Kind][]BoundaryKind{
-		Terminal:   {Fixed, Delimited, Length, End},
-		Sequence:   {Delegated, Delimited, Length, End},
-		Optional:   {Delegated},
-		Repetition: {Delimited, Length, End},
-		Tabular:    {Counter},
-	}
-	for _, k := range allowed[n.Kind] {
-		if b.Kind == k {
-			return nil
+	if uint(n.Kind) < uint(len(allowedBoundaries)) {
+		for _, k := range allowedBoundaries[n.Kind] {
+			if b.Kind == k {
+				return nil
+			}
 		}
 	}
 	return verr(n, "%v boundary not allowed on %v node", b.Kind, n.Kind)
 }
 
-func (g *Graph) validateTerminal(n *Node) error {
+func validateTerminal(n *Node) error {
 	if n.Kind != Terminal {
 		return nil
 	}
@@ -194,7 +248,7 @@ func (g *Graph) validateTerminal(n *Node) error {
 	return nil
 }
 
-func (g *Graph) validateComb(n *Node) error {
+func validateComb(n *Node) error {
 	if n.Comb == nil {
 		return nil
 	}
@@ -219,7 +273,7 @@ func (g *Graph) validateComb(n *Node) error {
 	return nil
 }
 
-func (g *Graph) validatePair(n *Node) error {
+func validatePair(n *Node) error {
 	if n.Pair == nil {
 		return nil
 	}
@@ -246,9 +300,9 @@ func (g *Graph) validatePair(n *Node) error {
 // validateRefs checks that Length/Counter/Cond references resolve to
 // suitable nodes and that every contributing leaf is parsed before the
 // dependent node needs the value.
-func (g *Graph) validateRefs(n *Node, idx map[*Node]int) error {
+func (v *validation) validateRefs(n *Node) error {
 	check := func(ref string, wantAutoFill bool, use string) error {
-		target := g.FindOriginal(ref)
+		target := v.origins[ref]
 		if target == nil {
 			return verr(n, "%s reference %q does not resolve", use, ref)
 		}
@@ -261,10 +315,8 @@ func (g *Graph) validateRefs(n *Node, idx map[*Node]int) error {
 		if wantAutoFill && !target.AutoFill {
 			return verr(n, "%s reference %q is not auto-filled", use, ref)
 		}
-		for _, leaf := range g.ContributingLeaves(ref) {
-			if idx[leaf] >= idx[n] {
-				return verr(n, "%s reference %q: leaf %q parses at or after the dependent node", use, ref, leaf.Name)
-			}
+		if leaf := leafAtOrAfter(target, n); leaf != nil {
+			return verr(n, "%s reference %q: leaf %q parses at or after the dependent node", use, ref, leaf.Name)
 		}
 		return nil
 	}
@@ -281,7 +333,7 @@ func (g *Graph) validateRefs(n *Node, idx map[*Node]int) error {
 	}
 	if n.Kind == Optional {
 		ref := n.Cond.Ref
-		target := g.FindOriginal(ref)
+		target := v.origins[ref]
 		if target == nil {
 			return verr(n, "presence reference %q does not resolve", ref)
 		}
@@ -297,11 +349,24 @@ func (g *Graph) validateRefs(n *Node, idx map[*Node]int) error {
 		if n.Cond.Op != CondEq && n.Cond.Op != CondNe {
 			return verr(n, "unknown presence operator %d", int(n.Cond.Op))
 		}
-		idxN := idx[n]
-		for _, leaf := range g.ContributingLeaves(ref) {
-			if idx[leaf] >= idxN {
-				return verr(n, "presence reference %q: leaf %q parses at or after the optional node", ref, leaf.Name)
-			}
+		if leaf := leafAtOrAfter(target, n); leaf != nil {
+			return verr(n, "presence reference %q: leaf %q parses at or after the optional node", ref, leaf.Name)
+		}
+	}
+	return nil
+}
+
+// leafAtOrAfter returns the first leaf under target that does not parse
+// before dependent, or nil when all of them do. The indexed positions
+// answer the common case in O(1); only a violation walks the leaves, to
+// name the offender.
+func leafAtOrAfter(target, dependent *Node) *Node {
+	if target.lastLeaf < dependent.pos {
+		return nil
+	}
+	for _, leaf := range Leaves(target) {
+		if leaf.pos >= dependent.pos {
+			return leaf
 		}
 	}
 	return nil
@@ -310,7 +375,7 @@ func (g *Graph) validateRefs(n *Node, idx map[*Node]int) error {
 // validateExtent checks that nodes whose parsing requires a pre-computed
 // byte extent (End boundaries, Reversed subtrees, RepSplit pairs) can
 // actually obtain one.
-func (g *Graph) validateExtent(n *Node) error {
+func validateExtent(n *Node) error {
 	needsEndRegion := n.Boundary.Kind == End
 	if n.Reversed || n.Pair != nil {
 		if _, ok := StaticSize(n); !ok {
@@ -375,7 +440,7 @@ func (g *Graph) validateExtent(n *Node) error {
 //
 // This check is a soundness improvement over the paper, which relies on
 // per-transformation parent-boundary constraints only.
-func (g *Graph) validateRepPrefix(rep *Node) error {
+func validateRepPrefix(rep *Node) error {
 	item := rep.Child()
 	leaf, onPath, reversed := firstWireLeaf(item)
 	if leaf == nil {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -24,6 +25,26 @@ func TestValidateDuplicateName(t *testing.T) {
 	expectInvalid(t, "duplicate name", func(g *Graph) {
 		g.Find("hval").Name = "hname"
 	})
+}
+
+// TestValidateNameThreeTimes checks that each repeated occurrence of a
+// name is reported against the occurrence just before it.
+func TestValidateNameThreeTimes(t *testing.T) {
+	g := sampleGraph(t)
+	g.Find("extra").Name = "name"
+	g.Find("hval").Name = "name"
+	err := g.Validate()
+	if err == nil {
+		t.Fatal("graph with a name used three times accepted")
+	}
+	for _, want := range []string{
+		`node "name": duplicate name (also "msg/payload/name")`,
+		`node "name": duplicate name (also "msg/payload/maybe/name")`,
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
+		}
+	}
 }
 
 func TestValidateArity(t *testing.T) {
@@ -91,6 +112,43 @@ func TestValidateRefRules(t *testing.T) {
 		// move plen (index 2) after payload (index 3)
 		root.Children[2], root.Children[3] = root.Children[3], root.Children[2]
 		g.Rebuild()
+	})
+}
+
+// TestValidateReferenceOrder covers the three reference-order failures:
+// a length, counter or presence reference whose contributing leaf parses
+// at or after the dependent node. Each message names the leaf.
+func TestValidateReferenceOrder(t *testing.T) {
+	expectInvalid(t, `length reference "plen": leaf "plen" parses at or after the dependent node`, func(g *Graph) {
+		root := g.Root
+		root.Children[2], root.Children[3] = root.Children[3], root.Children[2]
+	})
+	expectInvalid(t, `counter reference "cnt": leaf "cnt" parses at or after the dependent node`, func(g *Graph) {
+		payload := g.Find("payload")
+		payload.Children[1], payload.Children[2] = payload.Children[2], payload.Children[1]
+	})
+	expectInvalid(t, `presence reference "kind": leaf "kind" parses at or after the optional node`, func(g *Graph) {
+		root, payload := g.Root, g.Find("payload")
+		kind := root.Children[1]
+		root.Children = append(root.Children[:1:1], root.Children[2:]...)
+		payload.Children = append(payload.Children, kind)
+	})
+	// A split length field whose first half parses before the dependent
+	// and whose second half sits inside it: the error names the second
+	// half, the first offending leaf, not the first leaf of the field.
+	expectInvalid(t, `length reference "plen": leaf "plen_b" parses at or after`, func(g *Graph) {
+		plen := g.Find("plen")
+		lo := term("plen_a", EncUint, fixed(2))
+		lo.Origin = Origin{Name: "plen", Role: RoleSplitLeft}
+		hi := term("plen_b", EncUint, fixed(2))
+		hi.Origin = Origin{Name: "plen", Role: RoleSplitRight}
+		inner := &Node{Name: "inner", Kind: Sequence, Boundary: length("plen"), Children: []*Node{hi}}
+		comb := &Node{Name: "plen_c", Kind: Sequence, Boundary: Boundary{Kind: Delegated},
+			Enc: EncUint, AutoFill: true, Origin: plen.Origin,
+			Comb: &Combine{Kind: CombAdd, Width: 2}, Children: []*Node{lo, inner}}
+		if err := g.Replace(plen, comb); err != nil {
+			t.Fatal(err)
+		}
 	})
 }
 
@@ -220,6 +278,66 @@ func TestValidateAcceptsSample(t *testing.T) {
 	g := sampleGraph(t)
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
+	}
+}
+
+// TestValidateWarmAllocs pins Validate's pooled scratch: re-validating
+// a graph whose shape has been validated before allocates nothing.
+func TestValidateWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	g := wideGraph(t, 32)
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = g.Validate() }); n != 0 {
+		t.Fatalf("warm Validate allocates %.0f times, want 0", n)
+	}
+}
+
+// wideGraph returns a valid graph of k length-prefixed records, each
+// holding a delimited name, a counted table and an optional guarded by
+// a field of the record: 8k+2 nodes with 3k references to check.
+func wideGraph(t testing.TB, k int) *Graph {
+	t.Helper()
+	var kids []*Node
+	for i := 0; i < k; i++ {
+		name := func(s string) string { return fmt.Sprintf("%s%d", s, i) }
+		l := term(name("len"), EncUint, fixed(4))
+		l.AutoFill = true
+		c := term(name("cnt"), EncUint, fixed(1))
+		c.AutoFill = true
+		kids = append(kids, l, &Node{Name: name("rec"), Kind: Sequence, Boundary: length(name("len")), Children: []*Node{
+			term(name("kind"), EncUint, fixed(1)),
+			c,
+			&Node{Name: name("items"), Kind: Tabular, Boundary: Boundary{Kind: Counter, Ref: name("cnt")},
+				Children: []*Node{term(name("item"), EncUint, fixed(2))}},
+			&Node{Name: name("opt"), Kind: Optional, Boundary: Boundary{Kind: Delegated},
+				Cond:     Cond{Ref: name("kind"), Op: CondEq, UintVal: 1},
+				Children: []*Node{term(name("extra"), EncBytes, delim(";"))}},
+		}})
+	}
+	root := seq("msg", append(kids, term("tail", EncBytes, Boundary{Kind: End}))...)
+	root.Boundary = Boundary{Kind: End}
+	g := New("wide", root)
+	if err := g.Validate(); err != nil {
+		t.Fatalf("wide graph does not validate: %v", err)
+	}
+	return g
+}
+
+func BenchmarkValidate(b *testing.B) {
+	for _, k := range []int{1, 32} {
+		g := wideGraph(b, k)
+		b.Run(fmt.Sprintf("nodes=%d", g.NodeCount()), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := g.Validate(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

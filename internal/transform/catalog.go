@@ -11,7 +11,8 @@
 // The engine applies each transformation tentatively and re-validates the
 // whole graph, rolling back applications that would make parsing
 // ambiguous. This replaces the paper's per-transformation parent-boundary
-// constraints with a single sound applicability oracle (see DESIGN.md).
+// constraints with a single sound applicability oracle (see "Transformation
+// engine" in docs/ARCHITECTURE.md).
 package transform
 
 import (
@@ -31,6 +32,16 @@ type Transform interface {
 	Applicable(g *graph.Graph, n *graph.Node) bool
 	// Apply rewrites the graph at node n. It returns a human-readable
 	// description of the instantiation (chosen constants, positions).
+	//
+	// The engine undoes a rejected attempt with the graph.Checkpoint it
+	// took at n, so Apply may change only what a checkpoint restores:
+	// n's fields, n's slot in its parent (through g.Replace), the root
+	// and the fresh-name counter. It may permute the elements of
+	// n.Children in place; any other slice of n it changes gets a new
+	// header (append is fine) and never has its elements overwritten.
+	// Nodes it creates may share n's slices and children.
+	// TestCheckpointRollback holds every transformation to this
+	// contract.
 	Apply(g *graph.Graph, n *graph.Node, r *rng.R) (string, error)
 }
 

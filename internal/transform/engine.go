@@ -52,7 +52,8 @@ type Options struct {
 // Obfuscate applies randomly selected generic transformations to a copy
 // of g, never mutating the input. Every application is validated against
 // the full invariant set of package graph; unsound rewrites are rolled
-// back and counted in Result.Rejected.
+// back in place through a graph.Checkpoint taken before the attempt and
+// counted in Result.Rejected.
 func Obfuscate(g *graph.Graph, opts Options, r *rng.R) (*Result, error) {
 	if opts.PerNode < 0 {
 		return nil, fmt.Errorf("transform: negative per-node count %d", opts.PerNode)
@@ -78,6 +79,7 @@ func Obfuscate(g *graph.Graph, opts Options, r *rng.R) (*Result, error) {
 		}
 	}
 	res := &Result{}
+	applicable := make([]Transform, 0, len(catalog))
 	for round := 1; round <= opts.PerNode; round++ {
 		// The node list is frozen per round; nodes created mid-round are
 		// eligible from the next round on.
@@ -90,7 +92,7 @@ func Obfuscate(g *graph.Graph, opts Options, r *rng.R) (*Result, error) {
 			if n == nil {
 				continue // consumed by an earlier transformation this round
 			}
-			var applicable []Transform
+			applicable = applicable[:0]
 			for _, t := range catalog {
 				if t.Applicable(cur, n) {
 					applicable = append(applicable, t)
@@ -100,13 +102,13 @@ func Obfuscate(g *graph.Graph, opts Options, r *rng.R) (*Result, error) {
 				continue
 			}
 			t := applicable[r.Intn(len(applicable))]
-			snapshot := cur.Clone()
+			cp := cur.Checkpoint(n)
 			detail, err := t.Apply(cur, n, r)
 			if err == nil {
 				err = cur.Validate()
 			}
 			if err != nil {
-				cur = snapshot
+				cp.Restore()
 				res.Rejected++
 				continue
 			}
