@@ -98,9 +98,9 @@ type BenchReport struct {
 	Go             string                     `json:"go"`
 	Seed           int64                      `json:"seed"`
 	PerNode        int                        `json:"per_node"`
-	Distinguishers []adversary.Accuracy       `json:"distinguishers"`
-	Mutation       adversary.MutationResult   `json:"mutation"`
-	Covert         []adversary.CovertEstimate `json:"covert"`
+	Distinguishers []adversary.Accuracy       `json:"distinguishers,omitempty"`
+	Mutation       *adversary.MutationResult  `json:"mutation,omitempty"`
+	Covert         []adversary.CovertEstimate `json:"covert,omitempty"`
 	Latency        *LatencyReport             `json:"latency,omitempty"`
 	Shaping        *ShapingReport             `json:"shaping,omitempty"`
 	Gateway        *GatewayReport             `json:"gateway,omitempty"`
@@ -204,7 +204,7 @@ func RunAdversary(ctx context.Context, cfg AdversaryConfig) (*BenchReport, error
 		Seed:           cfg.Seed,
 		PerNode:        cfg.PerNode,
 		Distinguishers: adversary.Evaluate(plain, obf, cfg.Window),
-		Mutation:       *mut,
+		Mutation:       mut,
 		Covert:         covert,
 		Latency:        lat,
 		Shaping:        shaping,
@@ -238,7 +238,7 @@ func (r *BenchReport) Validate() error {
 	// A report carries the adversary evaluation, a gateway workload, a
 	// datagram workload, or any mix; a report with none documents
 	// nothing.
-	hasAdversary := len(r.Distinguishers) > 0 || r.Mutation.Total != 0 || len(r.Covert) > 0
+	hasAdversary := len(r.Distinguishers) > 0 || r.Mutation != nil || len(r.Covert) > 0
 	if !hasAdversary && r.Gateway == nil && r.Datagram == nil {
 		return fmt.Errorf("bench: report has no adversary, gateway or datagram section")
 	}
@@ -300,6 +300,9 @@ func (r *BenchReport) validateAdversary() error {
 		if d.Name == "" || d.Accuracy < 0 || d.Accuracy > 1 || d.Windows <= 0 {
 			return fmt.Errorf("bench: malformed distinguisher result %+v", d)
 		}
+	}
+	if r.Mutation == nil {
+		return fmt.Errorf("bench: no mutation campaign")
 	}
 	rejected := 0
 	for _, v := range r.Mutation.Rejects {
@@ -387,10 +390,12 @@ func (r *BenchReport) Table() string {
 		fmt.Fprintf(&sb, "  overhead: %.1f%% wire bytes, %.2f ms/msg added delay\n",
 			r.Shaping.PadOverhead*100, r.Shaping.DelayMsPerMsg)
 	}
-	fmt.Fprintf(&sb, "mutation campaign: %d cases, %d crashes, %d decoded, %d rejected\n",
-		r.Mutation.Total, r.Mutation.Crashes, r.Mutation.Decoded, r.Mutation.Rejected())
-	for reason, n := range r.Mutation.Rejects {
-		fmt.Fprintf(&sb, "  reject %-13s %d\n", reason, n)
+	if m := r.Mutation; m != nil {
+		fmt.Fprintf(&sb, "mutation campaign: %d cases, %d crashes, %d decoded, %d rejected\n",
+			m.Total, m.Crashes, m.Decoded, m.Rejected())
+		for reason, n := range m.Rejects {
+			fmt.Fprintf(&sb, "  reject %-13s %d\n", reason, n)
+		}
 	}
 	for _, c := range r.Covert {
 		fmt.Fprintf(&sb, "covert capacity perNode=%d: %.2f bits/msg (ceiling %.2f over %d epochs, %d distinct encodings)\n",

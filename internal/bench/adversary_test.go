@@ -90,8 +90,18 @@ func TestBenchReportWriteJSON(t *testing.T) {
 	if back.RunID != "test-run" || back.Schema != BenchSchema {
 		t.Errorf("identity fields lost: %+v", back)
 	}
-	if len(back.Mutation.Rejects) == 0 {
+	if back.Mutation == nil || len(back.Mutation.Rejects) == 0 {
 		t.Error("reject taxonomy lost in serialization")
+	}
+	// The sections other workloads leave out are always filled here.
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(data, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, present := range []string{"distinguishers", "mutation", "covert"} {
+		if _, ok := keys[present]; !ok {
+			t.Errorf("adversary report lacks its %q section", present)
+		}
 	}
 }
 
@@ -198,6 +208,8 @@ func TestBenchReportValidateRejects(t *testing.T) {
 		// Deep-enough copies for the fields the cases mutate.
 		bad.Distinguishers = append([]adversary.Accuracy(nil), rep.Distinguishers...)
 		bad.Covert = append([]adversary.CovertEstimate(nil), rep.Covert...)
+		mut := *rep.Mutation
+		bad.Mutation = &mut
 		c.corrupt(&bad)
 		if err := bad.Validate(); err == nil {
 			t.Errorf("%s: corrupted report validated", c.name)

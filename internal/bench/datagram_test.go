@@ -92,7 +92,7 @@ func TestDatagramReportJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &keys); err != nil {
 		t.Fatal(err)
 	}
-	for _, absent := range []string{"perf", "latency", "shaping", "gateway"} {
+	for _, absent := range []string{"perf", "distinguishers", "mutation", "covert", "latency", "shaping", "gateway"} {
 		if _, ok := keys[absent]; ok {
 			t.Errorf("datagram-only report carries a %q section", absent)
 		}
