@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"strings"
 	"time"
 
 	"protoobf/internal/gateway"
@@ -88,27 +87,34 @@ func (o *obsServer) fleet() ([]metrics.FleetSnapshot, map[string]bool) {
 	return fleet, up
 }
 
+// backendUp is one backend's row of the fleet page's reachability
+// gauge.
+type backendUp struct {
+	Up uint64 `prom:"protoobf_gateway_backend_up" help:"Whether the backend's obs address answered the last fleet scrape."`
+}
+
 func (o *obsServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	gateway.WriteProm(w, o.gw.Stats())
+	var p metrics.Page
+	p.Add(o.gw.Stats())
 	fleet, up := o.fleet()
-	if len(o.backends) > 0 {
-		fmt.Fprintf(w, "# HELP protoobf_gateway_backend_up Whether the backend's obs address answered the last fleet scrape.\n")
-		fmt.Fprintf(w, "# TYPE protoobf_gateway_backend_up gauge\n")
-		names := make([]string, 0, len(up))
-		for n := range up {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			v := 0
-			if up[n] {
-				v = 1
-			}
-			fmt.Fprintf(w, "protoobf_gateway_backend_up{backend=\"%s\"} %d\n", escapeLabelValue(n), v)
-		}
+	names := make([]string, 0, len(up))
+	for n := range up {
+		names = append(names, n)
 	}
-	metrics.WriteFleetProm(w, fleet)
+	sort.Strings(names)
+	for _, n := range names {
+		var v backendUp
+		if up[n] {
+			v.Up = 1
+		}
+		p.Add(v, "backend", n)
+	}
+	p.BuildInfo()
+	for _, f := range fleet {
+		p.Add(f.Snap, "backend", f.Backend)
+	}
+	p.Render(w)
 }
 
 func (o *obsServer) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
@@ -143,12 +149,4 @@ func startObs(addr string, gw *gateway.Gateway, backends []obsBackend) (net.List
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	go (&http.Server{Handler: mux}).Serve(l)
 	return l, nil
-}
-
-// escapeLabelValue escapes a Prometheus label value: backslash, quote
-// and newline only (Go's %q escaping is not valid in the exposition
-// format).
-func escapeLabelValue(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(s)
 }

@@ -266,18 +266,17 @@ func oneRun(w *workload, perNode int, cfg Config, r *rng.R, baseline metrics.Pot
 			if mi == 1 {
 				g = respRes.Graph
 			}
-			t0 := time.Now()
-			data, err := wire.Serialize(m)
-			serNs += float64(time.Since(t0).Nanoseconds())
+			data, dSer, err := timeSerialize(m)
 			if err != nil {
 				return fmt.Errorf("serialize: %w", err)
 			}
 			lr.BufBytes.Add(float64(len(data)))
-			t1 := time.Now()
-			if _, err := wire.Parse(g, data, r); err != nil {
+			dParse, err := timeParse(g, data, r)
+			if err != nil {
 				return fmt.Errorf("parse: %w", err)
 			}
-			parseNs += float64(time.Since(t1).Nanoseconds())
+			serNs += dSer
+			parseNs += dParse
 			nMsgs++
 		}
 	}

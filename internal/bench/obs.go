@@ -125,17 +125,9 @@ func selfScrape(addr string) error {
 // readBody drains one response, enforcing a 200 status.
 func readBody(resp *http.Response) ([]byte, error) {
 	defer resp.Body.Close()
-	var out []byte
-	buf := make([]byte, 4096)
-	for {
-		n, err := resp.Body.Read(buf)
-		out = append(out, buf[:n]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("status %d", resp.StatusCode)

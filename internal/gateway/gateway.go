@@ -71,11 +71,17 @@ type Counters struct {
 	HeaderErrors atomic.Uint64
 }
 
-// Stats is a point-in-time copy of Counters.
+// Stats is a point-in-time copy of Counters. Its tags name the
+// protoobf_gateway_* families it renders as on the gateway's /metrics
+// page (see metrics.Page).
 type Stats struct {
-	Accepted, FreshRouted, ResumeRouted uint64
-	ReplayRejects, ForgedRejects        uint64
-	DialErrors, HeaderErrors            uint64
+	Accepted      uint64 `prom:"protoobf_gateway_accepted_total" help:"Streams accepted from the gateway listener."`
+	FreshRouted   uint64 `prom:"protoobf_gateway_fresh_routed_total" help:"Streams routed round-robin as fresh dials."`
+	ResumeRouted  uint64 `prom:"protoobf_gateway_resume_routed_total" help:"Authenticated resume streams routed by dialect family."`
+	ReplayRejects uint64 `prom:"protoobf_gateway_replay_rejects_total" help:"Authentic tickets dropped by the fleet replay cache (single-use)."`
+	ForgedRejects uint64 `prom:"protoobf_gateway_forged_rejects_total" help:"Resume streams dropped because the ticket failed verification."`
+	DialErrors    uint64 `prom:"protoobf_gateway_dial_errors_total" help:"Streams dropped on a failed backend dial."`
+	HeaderErrors  uint64 `prom:"protoobf_gateway_header_errors_total" help:"Streams dropped before routing (torn or oversized opening frame, header timeout, empty registry)."`
 }
 
 // Gateway routes protoobf streams to backend processes. One Gateway

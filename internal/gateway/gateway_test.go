@@ -9,11 +9,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"protoobf"
+	"protoobf/internal/metrics"
 )
 
 const gwSpec = `
@@ -469,5 +471,34 @@ func TestGatewayChurn(t *testing.T) {
 	}
 	if got := gw.Stats().ResumeRouted; got < sessions*cycles {
 		t.Fatalf("ResumeRouted = %d, want >= %d", got, sessions*cycles)
+	}
+}
+
+// TestWritePromLints renders the routing counters the way the gateway
+// command's /metrics page does and lints the result.
+func TestWritePromLints(t *testing.T) {
+	s := protoobf.GatewayStats{
+		Accepted: 12, FreshRouted: 7, ResumeRouted: 4,
+		ReplayRejects: 1, ForgedRejects: 2, DialErrors: 3, HeaderErrors: 5,
+	}
+	var p metrics.Page
+	p.Add(s)
+	var sb strings.Builder
+	if err := p.Render(&sb); err != nil {
+		t.Fatal(err)
+	}
+	page := sb.String()
+	if err := metrics.LintProm([]byte(page)); err != nil {
+		t.Fatalf("gateway prom page fails lint: %v\n%s", err, page)
+	}
+	for _, want := range []string{
+		"protoobf_gateway_accepted_total 12",
+		"protoobf_gateway_resume_routed_total 4",
+		"protoobf_gateway_replay_rejects_total 1",
+		"# TYPE protoobf_gateway_header_errors_total counter",
+	} {
+		if !strings.Contains(page, want) {
+			t.Fatalf("page missing %q:\n%s", want, page)
+		}
 	}
 }

@@ -75,7 +75,11 @@ func TestGoldenPages(t *testing.T) {
 				{Backend: "b2", Snap: distinctSnapshot()},
 			})
 		},
-		"gateway.prom": func(sb *strings.Builder) error { return gateway.WriteProm(sb, gw) },
+		"gateway.prom": func(sb *strings.Builder) error {
+			var p metrics.Page
+			p.Add(gw)
+			return p.Render(sb)
+		},
 	}
 	for name, render := range pages {
 		var sb strings.Builder

@@ -154,7 +154,7 @@ func (c *LatencyCounters) Snapshot() LatencyStats {
 // LatencyStats is one endpoint's session-layer latency distribution
 // at snapshot time (all values nanoseconds).
 type LatencyStats struct {
-	EpochBoundary HistogramStats
-	RekeyRTT      HistogramStats
-	ResumeRTT     HistogramStats
+	EpochBoundary HistogramStats `prom:"protoobf_epoch_boundary_seconds" help:"Epoch-boundary crossing latency of stream and packet sessions (schedule tick to new dialect installed)."`
+	RekeyRTT      HistogramStats `prom:"protoobf_rekey_rtt_seconds" help:"Rekey handshake round trip (proposal sent to ack processed)."`
+	ResumeRTT     HistogramStats `prom:"protoobf_resume_rtt_seconds" help:"Resume handshake round trip on the resuming side (ticket sent to ack processed)."`
 }

@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -12,21 +13,22 @@ import (
 // WriteProm renders a Snapshot in the Prometheus text exposition format
 // (version 0.0.4), so an endpoint's Metrics() can be served from a
 // /metrics handler and scraped without pulling in a client library —
-// this module stays dependency-free. Counters map to counter metrics,
-// live cache geometry to gauges, latency/size distributions to proper
-// histogram families (_bucket/_sum/_count with a terminal +Inf);
-// per-shard cache traffic is emitted with a shard label so hot-shard
-// imbalance is visible to the scraper exactly as it is in
-// CacheStats.PerShard. A protoobf_build_info gauge carries the module
-// version so dashboards can correlate scrapes with builds.
+// this module stays dependency-free. Every family comes from a tagged
+// Stats field (see Page.Add): counters, gauges for the live cache
+// geometry, histogram families for the latency/size distributions
+// (_bucket/_sum/_count with a terminal +Inf), and per-shard cache
+// traffic under a shard label so hot-shard imbalance is visible to the
+// scraper exactly as it is in CacheStats.PerShard. A
+// protoobf_build_info gauge carries the module version so dashboards
+// can correlate scrapes with builds.
 //
 // The writer is typically an http.ResponseWriter; any error is the
 // writer's, surfaced on the first failing write.
 func WriteProm(w io.Writer, s Snapshot) error {
-	p := newPromWriter()
-	p.buildInfo()
-	writeSnapshot(p, s)
-	return p.writeTo(w)
+	var p Page
+	p.BuildInfo()
+	p.Add(s)
+	return p.Render(w)
 }
 
 // FleetSnapshot names one backend's Snapshot for fleet-level export.
@@ -41,137 +43,21 @@ type FleetSnapshot struct {
 // /metrics presents its whole fleet to one scrape. The build_info
 // gauge describes the serving process and carries no backend label.
 func WriteFleetProm(w io.Writer, fleet []FleetSnapshot) error {
-	p := newPromWriter()
-	p.buildInfo()
+	var p Page
+	p.BuildInfo()
 	for _, m := range fleet {
-		p.labels = `backend="` + escapeLabel(m.Backend) + `"`
-		writeSnapshot(p, m.Snap)
+		p.Add(m.Snap, "backend", m.Backend)
 	}
-	return p.writeTo(w)
+	return p.Render(w)
 }
 
-// writeSnapshot emits every family of one Snapshot into p (under p's
-// constant labels, if any).
-func writeSnapshot(p *promWriter, s Snapshot) {
-	r := s.Rotation
-	p.counter("protoobf_rotation_compiles_total",
-		"Dialect compiles performed (demand and prefetch).", r.Compiles)
-	p.counter("protoobf_rotation_prefetch_compiles_total",
-		"Dialect compiles performed ahead of need by a prefetch daemon.", r.PrefetchCompiles)
-	p.counter("protoobf_rotation_compile_dedup_total",
-		"Version lookups that joined an in-flight compile instead of burning their own.", r.CompileDedup)
-	p.counter("protoobf_rotation_compile_errors_total",
-		"Dialect compiles that failed.", r.CompileErrors)
-	p.counter("protoobf_rotation_rekeys_total",
-		"Rekey points applied across all session views.", r.Rekeys)
-	p.counter("protoobf_rotation_rekey_rollbacks_total",
-		"Rekey points rolled back after a failed handshake commit.", r.RekeyRollbacks)
-	p.counter("protoobf_artifact_loads_total",
-		"Dialect versions restored from the serialized-artifact store instead of compiled.", r.ArtifactLoads)
-	p.counter("protoobf_artifact_saves_total",
-		"Compiled dialect versions persisted to the artifact store.", r.ArtifactSaves)
-	p.counter("protoobf_artifact_errors_total",
-		"Artifact store loads or saves that failed (the rotation fell back to compiling).", r.ArtifactErrors)
-	p.histogram("protoobf_compile_demand_seconds",
-		"Duration of dialect compiles paid for on a session hot path.", r.DemandCompileNanos, 1e9)
-	p.histogram("protoobf_compile_prefetch_seconds",
-		"Duration of dialect compiles run ahead of need by a prefetch daemon.", r.PrefetchCompileNanos, 1e9)
-
-	c := r.Cache
-	p.counter("protoobf_cache_hits_total", "Version cache hits.", c.Hits)
-	p.counter("protoobf_cache_misses_total", "Version cache misses.", c.Misses)
-	p.counter("protoobf_cache_evictions_total", "Version cache evictions.", c.Evictions)
-	p.gauge("protoobf_cache_entries", "Compiled versions cached now.", uint64(c.Len))
-	p.gauge("protoobf_cache_capacity", "Configured version cache bound (0 = unbounded).", uint64(max(c.Cap, 0)))
-	if len(c.PerShard) > 0 {
-		p.family("protoobf_cache_shard_hits_total", "Version cache hits by shard.", "counter")
-		for i, row := range c.PerShard {
-			p.labeled("protoobf_cache_shard_hits_total", "shard", i, row.Hits)
-		}
-		p.family("protoobf_cache_shard_misses_total", "Version cache misses by shard.", "counter")
-		for i, row := range c.PerShard {
-			p.labeled("protoobf_cache_shard_misses_total", "shard", i, row.Misses)
-		}
-	}
-
-	f := s.Prefetch
-	p.counter("protoobf_prefetch_cycles_total", "Completed prefetch passes.", f.Cycles)
-	p.counter("protoobf_prefetch_compiled_total",
-		"Versions compiled strictly before their epoch began.", f.Compiled)
-	p.counter("protoobf_prefetch_warm_total",
-		"Prefetch targets already compiled when the daemon reached them.", f.Warm)
-	p.counter("protoobf_prefetch_late_total",
-		"Prefetch targets whose epoch began before the daemon finished with them.", f.Late)
-	p.counter("protoobf_prefetch_errors_total", "Prefetch compiles that failed.", f.Errors)
-
-	u := s.Resume
-	p.counter("protoobf_resume_tickets_issued_total",
-		"Resumption tickets exported by sessions of this endpoint.", u.TicketsIssued)
-	p.counter("protoobf_resume_accepts_total",
-		"Resume handshakes accepted.", u.Accepts)
-	p.family("protoobf_resume_rejects_total", "Resume handshakes rejected, by reason.", "counter")
-	p.labeledStr("protoobf_resume_rejects_total", "reason", "forged", u.RejectedForged)
-	p.labeledStr("protoobf_resume_rejects_total", "reason", "expired", u.RejectedExpired)
-	p.labeledStr("protoobf_resume_rejects_total", "reason", "state", u.RejectedState)
-	p.labeledStr("protoobf_resume_rejects_total", "reason", "replay", u.RejectedReplayed)
-
-	h := s.Shape
-	p.counter("protoobf_shape_frames_total",
-		"Data frames morphed by the traffic shaper (fragments included).", h.ShapedFrames)
-	p.counter("protoobf_shape_fragments_total",
-		"Extra frames produced by MTU splitting.", h.Fragments)
-	p.counter("protoobf_shape_pad_bytes_total",
-		"Pad bytes appended to shaped frames.", h.PadBytes)
-	p.counter("protoobf_shape_delay_ns_total",
-		"Inter-frame jitter injected by the pacer, in nanoseconds.", h.DelayNanos)
-	p.counter("protoobf_shape_cover_sent_total",
-		"Cover (decoy) frames emitted.", h.CoverSent)
-	p.counter("protoobf_shape_cover_dropped_total",
-		"Cover frames received and silently discarded.", h.CoverDropped)
-	p.family("protoobf_shape_rejects_total", "Receive-side shaping rejects, by reason.", "counter")
-	p.labeledStr("protoobf_shape_rejects_total", "reason", "unshape", h.UnshapeRejects)
-	p.labeledStr("protoobf_shape_rejects_total", "reason", "unknown-kind", h.UnknownKindRejects)
-	p.histogram("protoobf_shape_delay_seconds",
-		"Per-frame pacing delay injected by the traffic shaper.", h.DelayHist, 1e9)
-
-	d := s.Dgram
-	p.counter("protoobf_dgram_data_sent_total",
-		"Datagram data packets sent.", d.DataSent)
-	p.counter("protoobf_dgram_data_recv_total",
-		"Datagram data packets received and decoded.", d.DataRecv)
-	p.counter("protoobf_dgram_zero_overhead_sent_total",
-		"Data packets sent with zero added bytes (zero-overhead mode).", d.ZeroOverheadSent)
-	p.counter("protoobf_dgram_data_wire_bytes_total",
-		"Wire bytes of datagram data packets sent.", d.DataWireBytes)
-	p.counter("protoobf_dgram_data_payload_bytes_total",
-		"Serialized-payload bytes of datagram data packets sent (wire minus payload is framing overhead).", d.DataPayloadBytes)
-	p.counter("protoobf_dgram_control_sent_total",
-		"Datagram control packets sent (rekey proposes, covers).", d.ControlSent)
-	p.counter("protoobf_dgram_cover_sent_total",
-		"Datagram cover (decoy) packets emitted.", d.CoverSent)
-	p.counter("protoobf_dgram_cover_dropped_total",
-		"Datagram cover packets received and silently discarded.", d.CoverDropped)
-	p.counter("protoobf_dgram_rekeys_applied_total",
-		"Datagram rekey control packets that switched the dialect family.", d.RekeysApplied)
-	p.counter("protoobf_dgram_rekey_dups_total",
-		"Redundant or replayed rekey control packets discarded idempotently.", d.RekeyDups)
-	p.family("protoobf_dgram_rejects_total", "Datagram packets rejected, by reason.", "counter")
-	p.labeledStr("protoobf_dgram_rejects_total", "reason", "stale", d.RejectedStale)
-	p.labeledStr("protoobf_dgram_rejects_total", "reason", "future", d.RejectedFuture)
-	p.labeledStr("protoobf_dgram_rejects_total", "reason", "parse", d.RejectedParse)
-	p.labeledStr("protoobf_dgram_rejects_total", "reason", "malformed", d.RejectedMalformed)
-	p.histogram("protoobf_dgram_send_batch_size",
-		"Packets staged per datagram SendBatch call.", d.SendBatchSizes, 1)
-	p.histogram("protoobf_dgram_recv_batch_size",
-		"Packets drained per datagram RecvBatch call.", d.RecvBatchSizes, 1)
-
-	l := s.Latency
-	p.histogram("protoobf_epoch_boundary_seconds",
-		"Epoch-boundary crossing latency of stream and packet sessions (schedule tick to new dialect installed).", l.EpochBoundary, 1e9)
-	p.histogram("protoobf_rekey_rtt_seconds",
-		"Rekey handshake round trip (proposal sent to ack processed).", l.RekeyRTT, 1e9)
-	p.histogram("protoobf_resume_rtt_seconds",
-		"Resume handshake round trip on the resuming side (ticket sent to ack processed).", l.ResumeRTT, 1e9)
+// Page is one exposition page under construction. Families render in
+// the order they are first fed, each with exactly one HELP/TYPE header
+// however many Add calls feed it (a fleet of backends) — the format's
+// uniqueness rule. The zero Page is empty and ready to use.
+type Page struct {
+	fams   []*promFam
+	byName map[string]*promFam
 }
 
 // promFam is one metric family: a single HELP/TYPE header and the
@@ -181,83 +67,155 @@ type promFam struct {
 	rows            []string
 }
 
-// promWriter collects exposition families before writing, so the same
-// family fed from many sources (a fleet of backends) still renders
-// with exactly one header — the format's uniqueness rule.
-type promWriter struct {
-	labels string // pre-rendered constant labels for every row, or ""
-	fams   []*promFam
-	byName map[string]*promFam
+// Add renders every tagged field of stats, a Stats struct, as sample
+// rows carrying the given constant labels (alternating names and
+// values). A field is declared by two struct tags:
+//
+//	prom:"family[,label=value]" help:"Help text."
+//
+// The family type follows from the field: a name ending in _total is a
+// counter; a HistogramStats field is a histogram, converted from
+// nanoseconds to seconds when the name ends in _seconds; any other
+// number is a gauge clamped at 0. A family fed by several fields (one
+// per label value) gives its help on the first of them only. A slice
+// tagged prom:",label" renders its elements' tagged fields once per
+// element, under label="<index>". Untagged struct fields are walked
+// into; other untagged fields are not exported.
+func (p *Page) Add(stats any, labels ...string) {
+	var ls []string
+	for i := 0; i+1 < len(labels); i += 2 {
+		ls = append(ls, labels[i]+`="`+escapeLabel(labels[i+1])+`"`)
+	}
+	v := reflect.ValueOf(stats)
+	p.add(v, layout(v.Type()), strings.Join(ls, ","))
 }
 
-func newPromWriter() *promWriter {
-	return &promWriter{byName: make(map[string]*promFam)}
+// series is one tagged field: where to read it and how to render it.
+type series struct {
+	name, typ, help string
+	label           string   // constant label as key="value", or ""
+	field           string   // Go path within the walked type
+	index           []int    // reflect path to the field
+	each            string   // a tagged slice's per-element label name
+	elem            []series // a tagged slice's element layout
 }
 
-// family returns the named family, creating it (in output order) on
-// first use. The first help/type registered wins; callers register
-// each family consistently.
-func (p *promWriter) family(name, help, typ string) *promFam {
-	if f, ok := p.byName[name]; ok {
+var histStatsType = reflect.TypeOf(HistogramStats{})
+
+// layout lists the tagged fields of struct type t in field order. It
+// panics on a family whose help is missing from its first field or
+// repeated on a later one — a declaration bug every page test hits.
+func layout(t reflect.Type) []series {
+	var out []series
+	seen := map[string]bool{}
+	var walk func(t reflect.Type, index []int, path string)
+	walk = func(t reflect.Type, index []int, path string) {
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			idx := append(index[:len(index):len(index)], i)
+			tag, ok := f.Tag.Lookup("prom")
+			if !ok {
+				if f.Type.Kind() == reflect.Struct && f.Type != histStatsType {
+					walk(f.Type, idx, path+f.Name+".")
+				}
+				continue
+			}
+			name, label, _ := strings.Cut(tag, ",")
+			s := series{name: name, help: f.Tag.Get("help"), field: path + f.Name, index: idx}
+			if f.Type.Kind() == reflect.Slice {
+				s.each, s.elem = label, layout(f.Type.Elem())
+				out = append(out, s)
+				continue
+			}
+			switch {
+			case f.Type == histStatsType:
+				s.typ = "histogram"
+			case strings.HasSuffix(name, "_total"):
+				s.typ = "counter"
+			default:
+				s.typ = "gauge"
+			}
+			if key, val, ok := strings.Cut(label, "="); ok {
+				s.label = key + `="` + escapeLabel(val) + `"`
+			}
+			if first := !seen[name]; first != (s.help != "") {
+				panic("metrics: " + s.field + ": family " + name + " must give its help on its first field only")
+			}
+			seen[name] = true
+			out = append(out, s)
+		}
+	}
+	walk(t, nil, "")
+	return out
+}
+
+// add renders v's fields as laid out, every row under labels.
+func (p *Page) add(v reflect.Value, fields []series, labels string) {
+	for _, s := range fields {
+		f := v.FieldByIndex(s.index)
+		ls := joinLabels(labels, s.label)
+		switch {
+		case f.Kind() == reflect.Slice:
+			for i := 0; i < f.Len(); i++ {
+				p.add(f.Index(i), s.elem, joinLabels(ls, s.each+`="`+strconv.Itoa(i)+`"`))
+			}
+		case s.typ == "histogram":
+			p.histogram(s, f.Interface().(HistogramStats), ls)
+		default:
+			var n uint64
+			if f.CanInt() {
+				n = uint64(max(f.Int(), 0))
+			} else {
+				n = f.Uint()
+			}
+			p.family(s).row(s.name, ls, strconv.FormatUint(n, 10))
+		}
+	}
+}
+
+// family returns s's family, creating it (in output order) on first
+// use.
+func (p *Page) family(s series) *promFam {
+	if f, ok := p.byName[s.name]; ok {
 		return f
 	}
-	f := &promFam{name: name, help: help, typ: typ}
-	p.byName[name] = f
+	if p.byName == nil {
+		p.byName = make(map[string]*promFam)
+	}
+	f := &promFam{name: s.name, help: s.help, typ: s.typ}
+	p.byName[s.name] = f
 	p.fams = append(p.fams, f)
 	return f
 }
 
 // row appends one sample named exactly name (which may carry a
-// histogram suffix) with the given extra labels merged after the
-// writer's constant labels.
-func (p *promWriter) row(f *promFam, name, labels, value string) {
-	all := p.labels
-	if labels != "" {
-		if all != "" {
-			all += ","
-		}
-		all += labels
-	}
-	if all == "" {
+// histogram suffix) under the rendered labels, if any.
+func (f *promFam) row(name, labels, value string) {
+	if labels == "" {
 		f.rows = append(f.rows, name+" "+value)
 	} else {
-		f.rows = append(f.rows, name+"{"+all+"} "+value)
+		f.rows = append(f.rows, name+"{"+labels+"} "+value)
 	}
 }
 
-func (p *promWriter) counter(name, help string, v uint64) {
-	f := p.family(name, help, "counter")
-	p.row(f, name, "", strconv.FormatUint(v, 10))
-}
-
-func (p *promWriter) gauge(name, help string, v uint64) {
-	f := p.family(name, help, "gauge")
-	p.row(f, name, "", strconv.FormatUint(v, 10))
-}
-
-// labeled appends a sample with one integer-valued label to an
-// already-registered family.
-func (p *promWriter) labeled(name, label string, key int, v uint64) {
-	if f, ok := p.byName[name]; ok {
-		p.row(f, name, label+`="`+strconv.Itoa(key)+`"`, strconv.FormatUint(v, 10))
+func joinLabels(a, b string) string {
+	if a == "" || b == "" {
+		return a + b
 	}
-}
-
-// labeledStr appends a sample with one string-valued label to an
-// already-registered family.
-func (p *promWriter) labeledStr(name, label, key string, v uint64) {
-	if f, ok := p.byName[name]; ok {
-		p.row(f, name, label+`="`+escapeLabel(key)+`"`, strconv.FormatUint(v, 10))
-	}
+	return a + "," + b
 }
 
 // histogram emits h as a Prometheus histogram family: cumulative
 // _bucket rows up to the highest occupied bucket, a terminal +Inf
-// bucket equal to _count, and _sum. scale divides the raw log2 bucket
-// bounds and sum into the exported unit (1e9 turns nanoseconds into
-// the conventional seconds; 1 keeps raw values, e.g. batch sizes).
-func (p *promWriter) histogram(name, help string, h HistogramStats, scale float64) {
-	f := p.family(name, help, "histogram")
+// bucket equal to _count, and _sum. A _seconds family divides the raw
+// log2 bucket bounds and sum by 1e9, turning nanoseconds into the
+// conventional seconds; any other keeps raw values (batch sizes).
+func (p *Page) histogram(s series, h HistogramStats, labels string) {
+	scale := 1.0
+	if strings.HasSuffix(s.name, "_seconds") {
+		scale = 1e9
+	}
+	f := p.family(s)
 	hi := 0
 	for i := HistBuckets - 1; i >= 0; i-- {
 		if h.Buckets[i] != 0 {
@@ -269,23 +227,24 @@ func (p *promWriter) histogram(name, help string, h HistogramStats, scale float6
 	for i := 0; i <= hi; i++ {
 		cum += h.Buckets[i]
 		le := strconv.FormatFloat(float64(BucketBound(i))/scale, 'g', -1, 64)
-		p.row(f, name+"_bucket", `le="`+le+`"`, strconv.FormatUint(cum, 10))
+		f.row(s.name+"_bucket", joinLabels(labels, `le="`+le+`"`), strconv.FormatUint(cum, 10))
 	}
-	p.row(f, name+"_bucket", `le="+Inf"`, strconv.FormatUint(h.Count, 10))
-	p.row(f, name+"_sum", "", strconv.FormatFloat(float64(h.Sum)/scale, 'g', -1, 64))
-	p.row(f, name+"_count", "", strconv.FormatUint(h.Count, 10))
+	f.row(s.name+"_bucket", joinLabels(labels, `le="+Inf"`), strconv.FormatUint(h.Count, 10))
+	f.row(s.name+"_sum", labels, strconv.FormatFloat(float64(h.Sum)/scale, 'g', -1, 64))
+	f.row(s.name+"_count", labels, strconv.FormatUint(h.Count, 10))
 }
 
-// buildInfo emits the protoobf_build_info gauge: constant 1 with the
+// buildInfo is the value behind the protoobf_build_info gauge.
+type buildInfo struct {
+	Info uint64 `prom:"protoobf_build_info" help:"Build metadata of the serving process (value is always 1)."`
+}
+
+// BuildInfo adds the protoobf_build_info gauge: constant 1 with the
 // module version and Go runtime as labels, the conventional shape for
-// correlating a scrape with the build that produced it. It ignores the
-// writer's constant labels — it describes the serving process, not a
-// backend.
-func (p *promWriter) buildInfo() {
-	f := p.family("protoobf_build_info",
-		"Build metadata of the serving process (value is always 1).", "gauge")
-	labels := `version="` + escapeLabel(moduleVersion()) + `",goversion="` + escapeLabel(runtime.Version()) + `"`
-	f.rows = append(f.rows, "protoobf_build_info{"+labels+"} 1")
+// correlating a scrape with the build that produced it. It describes
+// the serving process, so it takes no backend label.
+func (p *Page) BuildInfo() {
+	p.Add(buildInfo{1}, "version", moduleVersion(), "goversion", runtime.Version())
 }
 
 // moduleVersion reports the main module's version from the build info
@@ -297,9 +256,9 @@ func moduleVersion() string {
 	return "unknown"
 }
 
-// writeTo renders the collected families in registration order,
-// remembering the first write error.
-func (p *promWriter) writeTo(w io.Writer) error {
+// Render writes the collected families in registration order,
+// returning the first write error.
+func (p *Page) Render(w io.Writer) error {
 	for _, f := range p.fams {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ); err != nil {
 			return err

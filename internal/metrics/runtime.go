@@ -38,8 +38,8 @@ func (c *CacheCounters) Snapshot() CacheShardStats {
 
 // CacheShardStats is the traffic of one cache shard at snapshot time.
 type CacheShardStats struct {
-	Hits      uint64
-	Misses    uint64
+	Hits      uint64 `prom:"protoobf_cache_shard_hits_total" help:"Version cache hits by shard."`
+	Misses    uint64 `prom:"protoobf_cache_shard_misses_total" help:"Version cache misses by shard."`
 	Evictions uint64
 }
 
@@ -47,13 +47,15 @@ type CacheShardStats struct {
 // shards, the live geometry, and the per-shard breakdown (balance
 // inspection — a hot shard shows up as one outlier row).
 type CacheStats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	Len       int // entries cached now
-	Cap       int // configured bound (<= 0 means unbounded)
-	Shards    int // construction-time shard count
-	PerShard  []CacheShardStats
+	Hits      uint64 `prom:"protoobf_cache_hits_total" help:"Version cache hits."`
+	Misses    uint64 `prom:"protoobf_cache_misses_total" help:"Version cache misses."`
+	Evictions uint64 `prom:"protoobf_cache_evictions_total" help:"Version cache evictions."`
+	// Len is the entries cached now, Cap the configured bound (<= 0
+	// means unbounded) and Shards the construction-time shard count.
+	Len      int `prom:"protoobf_cache_entries" help:"Compiled versions cached now."`
+	Cap      int `prom:"protoobf_cache_capacity" help:"Configured version cache bound (0 = unbounded)."`
+	Shards   int
+	PerShard []CacheShardStats `prom:",shard"`
 }
 
 // HitRate returns Hits/(Hits+Misses), or 0 before any traffic.
@@ -128,17 +130,17 @@ func (c *RotationCounters) Snapshot() RotationStats {
 // RotationStats is one dialect family's compile activity at snapshot
 // time.
 type RotationStats struct {
-	Compiles             uint64
-	PrefetchCompiles     uint64
-	CompileDedup         uint64
-	CompileErrors        uint64
-	Rekeys               uint64
-	RekeyRollbacks       uint64
-	ArtifactLoads        uint64
-	ArtifactSaves        uint64
-	ArtifactErrors       uint64
-	DemandCompileNanos   HistogramStats
-	PrefetchCompileNanos HistogramStats
+	Compiles             uint64         `prom:"protoobf_rotation_compiles_total" help:"Dialect compiles performed (demand and prefetch)."`
+	PrefetchCompiles     uint64         `prom:"protoobf_rotation_prefetch_compiles_total" help:"Dialect compiles performed ahead of need by a prefetch daemon."`
+	CompileDedup         uint64         `prom:"protoobf_rotation_compile_dedup_total" help:"Version lookups that joined an in-flight compile instead of burning their own."`
+	CompileErrors        uint64         `prom:"protoobf_rotation_compile_errors_total" help:"Dialect compiles that failed."`
+	Rekeys               uint64         `prom:"protoobf_rotation_rekeys_total" help:"Rekey points applied across all session views."`
+	RekeyRollbacks       uint64         `prom:"protoobf_rotation_rekey_rollbacks_total" help:"Rekey points rolled back after a failed handshake commit."`
+	ArtifactLoads        uint64         `prom:"protoobf_artifact_loads_total" help:"Dialect versions restored from the serialized-artifact store instead of compiled."`
+	ArtifactSaves        uint64         `prom:"protoobf_artifact_saves_total" help:"Compiled dialect versions persisted to the artifact store."`
+	ArtifactErrors       uint64         `prom:"protoobf_artifact_errors_total" help:"Artifact store loads or saves that failed (the rotation fell back to compiling)."`
+	DemandCompileNanos   HistogramStats `prom:"protoobf_compile_demand_seconds" help:"Duration of dialect compiles paid for on a session hot path."`
+	PrefetchCompileNanos HistogramStats `prom:"protoobf_compile_prefetch_seconds" help:"Duration of dialect compiles run ahead of need by a prefetch daemon."`
 	Cache                CacheStats
 }
 
@@ -184,11 +186,11 @@ func (c *PrefetchCounters) Snapshot() PrefetchStats {
 
 // PrefetchStats is a prefetch daemon's work at snapshot time.
 type PrefetchStats struct {
-	Cycles   uint64
-	Compiled uint64
-	Warm     uint64
-	Late     uint64
-	Errors   uint64
+	Cycles   uint64 `prom:"protoobf_prefetch_cycles_total" help:"Completed prefetch passes."`
+	Compiled uint64 `prom:"protoobf_prefetch_compiled_total" help:"Versions compiled strictly before their epoch began."`
+	Warm     uint64 `prom:"protoobf_prefetch_warm_total" help:"Prefetch targets already compiled when the daemon reached them."`
+	Late     uint64 `prom:"protoobf_prefetch_late_total" help:"Prefetch targets whose epoch began before the daemon finished with them."`
+	Errors   uint64 `prom:"protoobf_prefetch_errors_total" help:"Prefetch compiles that failed."`
 }
 
 // Lead returns the versions that were ready before their epoch began
@@ -240,12 +242,12 @@ func (c *ResumeCounters) Snapshot() ResumeStats {
 // ResumeStats is one endpoint's session-migration activity at snapshot
 // time.
 type ResumeStats struct {
-	TicketsIssued    uint64
-	Accepts          uint64
-	RejectedForged   uint64
-	RejectedExpired  uint64
-	RejectedState    uint64
-	RejectedReplayed uint64
+	TicketsIssued    uint64 `prom:"protoobf_resume_tickets_issued_total" help:"Resumption tickets exported by sessions of this endpoint."`
+	Accepts          uint64 `prom:"protoobf_resume_accepts_total" help:"Resume handshakes accepted."`
+	RejectedForged   uint64 `prom:"protoobf_resume_rejects_total,reason=forged" help:"Resume handshakes rejected, by reason."`
+	RejectedExpired  uint64 `prom:"protoobf_resume_rejects_total,reason=expired"`
+	RejectedState    uint64 `prom:"protoobf_resume_rejects_total,reason=state"`
+	RejectedReplayed uint64 `prom:"protoobf_resume_rejects_total,reason=replay"`
 }
 
 // Rejects returns the total resume attempts turned away, across every
@@ -307,15 +309,15 @@ func (c *ShapeCounters) Snapshot() ShapeStats {
 // ShapeStats is one endpoint's traffic-shaping activity at snapshot
 // time.
 type ShapeStats struct {
-	ShapedFrames       uint64
-	Fragments          uint64
-	PadBytes           uint64
-	DelayNanos         uint64
-	CoverSent          uint64
-	CoverDropped       uint64
-	UnshapeRejects     uint64
-	UnknownKindRejects uint64
-	DelayHist          HistogramStats
+	ShapedFrames       uint64         `prom:"protoobf_shape_frames_total" help:"Data frames morphed by the traffic shaper (fragments included)."`
+	Fragments          uint64         `prom:"protoobf_shape_fragments_total" help:"Extra frames produced by MTU splitting."`
+	PadBytes           uint64         `prom:"protoobf_shape_pad_bytes_total" help:"Pad bytes appended to shaped frames."`
+	DelayNanos         uint64         `prom:"protoobf_shape_delay_ns_total" help:"Inter-frame jitter injected by the pacer, in nanoseconds."`
+	CoverSent          uint64         `prom:"protoobf_shape_cover_sent_total" help:"Cover (decoy) frames emitted."`
+	CoverDropped       uint64         `prom:"protoobf_shape_cover_dropped_total" help:"Cover frames received and silently discarded."`
+	UnshapeRejects     uint64         `prom:"protoobf_shape_rejects_total,reason=unshape" help:"Receive-side shaping rejects, by reason."`
+	UnknownKindRejects uint64         `prom:"protoobf_shape_rejects_total,reason=unknown-kind"`
+	DelayHist          HistogramStats `prom:"protoobf_shape_delay_seconds" help:"Per-frame pacing delay injected by the traffic shaper."`
 }
 
 // DgramCounters counts the datagram session layer's activity on one
@@ -399,22 +401,22 @@ func (c *DgramCounters) Snapshot() DgramStats {
 // DgramStats is one endpoint's datagram-session activity at snapshot
 // time.
 type DgramStats struct {
-	DataSent          uint64
-	DataRecv          uint64
-	ZeroOverheadSent  uint64
-	DataWireBytes     uint64
-	DataPayloadBytes  uint64
-	ControlSent       uint64
-	CoverSent         uint64
-	CoverDropped      uint64
-	RekeysApplied     uint64
-	RekeyDups         uint64
-	RejectedStale     uint64
-	RejectedFuture    uint64
-	RejectedParse     uint64
-	RejectedMalformed uint64
-	SendBatchSizes    HistogramStats
-	RecvBatchSizes    HistogramStats
+	DataSent          uint64         `prom:"protoobf_dgram_data_sent_total" help:"Datagram data packets sent."`
+	DataRecv          uint64         `prom:"protoobf_dgram_data_recv_total" help:"Datagram data packets received and decoded."`
+	ZeroOverheadSent  uint64         `prom:"protoobf_dgram_zero_overhead_sent_total" help:"Data packets sent with zero added bytes (zero-overhead mode)."`
+	DataWireBytes     uint64         `prom:"protoobf_dgram_data_wire_bytes_total" help:"Wire bytes of datagram data packets sent."`
+	DataPayloadBytes  uint64         `prom:"protoobf_dgram_data_payload_bytes_total" help:"Serialized-payload bytes of datagram data packets sent (wire minus payload is framing overhead)."`
+	ControlSent       uint64         `prom:"protoobf_dgram_control_sent_total" help:"Datagram control packets sent (rekey proposes, covers)."`
+	CoverSent         uint64         `prom:"protoobf_dgram_cover_sent_total" help:"Datagram cover (decoy) packets emitted."`
+	CoverDropped      uint64         `prom:"protoobf_dgram_cover_dropped_total" help:"Datagram cover packets received and silently discarded."`
+	RekeysApplied     uint64         `prom:"protoobf_dgram_rekeys_applied_total" help:"Datagram rekey control packets that switched the dialect family."`
+	RekeyDups         uint64         `prom:"protoobf_dgram_rekey_dups_total" help:"Redundant or replayed rekey control packets discarded idempotently."`
+	RejectedStale     uint64         `prom:"protoobf_dgram_rejects_total,reason=stale" help:"Datagram packets rejected, by reason."`
+	RejectedFuture    uint64         `prom:"protoobf_dgram_rejects_total,reason=future"`
+	RejectedParse     uint64         `prom:"protoobf_dgram_rejects_total,reason=parse"`
+	RejectedMalformed uint64         `prom:"protoobf_dgram_rejects_total,reason=malformed"`
+	SendBatchSizes    HistogramStats `prom:"protoobf_dgram_send_batch_size" help:"Packets staged per datagram SendBatch call."`
+	RecvBatchSizes    HistogramStats `prom:"protoobf_dgram_recv_batch_size" help:"Packets drained per datagram RecvBatch call."`
 }
 
 // Rejects returns the total packets turned away, across every reject
