@@ -277,23 +277,6 @@ func (p *Page) Render(w io.Writer) error {
 // NOT equivalent — it emits \uXXXX and \xXX escapes for control and
 // non-ASCII bytes, which the Prometheus parser does not define and
 // either rejects or reads literally.
-func escapeLabel(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	var b strings.Builder
-	b.Grow(len(v) + 2)
-	for i := 0; i < len(v); i++ {
-		switch c := v[i]; c {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteByte(c)
-		}
-	}
-	return b.String()
-}
+func escapeLabel(v string) string { return labelEscaper.Replace(v) }
+
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
