@@ -47,7 +47,7 @@ func RunAblation(protocol string, msgs int, seed int64) (*AblationResult, error)
 	root := rng.New(seed)
 	res := &AblationResult{Protocol: protocol}
 	for _, t := range transform.Catalog() {
-		r := root.Split()
+		r := rng.New(root.Int63())
 		reqRes, err := transform.Obfuscate(w.reqG, transform.Options{PerNode: 1, Only: []string{t.Name()}}, r)
 		if err != nil {
 			return nil, err

@@ -196,7 +196,7 @@ func Run(cfg Config) (*Result, error) {
 	for _, perNode := range cfg.Levels {
 		lr := LevelResult{PerNode: perNode}
 		for run := 0; run < cfg.Runs; run++ {
-			r := root.Split()
+			r := rng.New(root.Int63())
 			if err := oneRun(w, perNode, cfg, r, baseline, &lr); err != nil {
 				return nil, fmt.Errorf("bench: %s level %d run %d: %w", cfg.Protocol, perNode, run, err)
 			}

@@ -76,7 +76,7 @@ func Calibrate(cfg CalibrateConfig) (*CalibrateResult, error) {
 	for perNode := 0; perNode <= cfg.MaxPerNode; perNode++ {
 		lvl := CalibrateLevel{PerNode: perNode}
 		for trial := 0; trial < cfg.Trials; trial++ {
-			r := root.Split()
+			r := rng.New(root.Int63())
 			g := reqG
 			if perNode > 0 {
 				tr, err := transform.Obfuscate(reqG, transform.Options{PerNode: perNode}, r)

@@ -67,7 +67,7 @@ func RunResilience(cfg ResilienceConfig) (*ResilienceResult, error) {
 	root := rng.New(cfg.Seed)
 	res := &ResilienceResult{Config: cfg}
 	for _, perNode := range cfg.Levels {
-		r := root.Split()
+		r := rng.New(root.Int63())
 		g := reqG
 		applied := 0
 		if perNode > 0 {

@@ -4,6 +4,16 @@
 // obfuscated protocol, which is what lets the framework re-generate
 // "new versions of the obfuscated core application at regular intervals"
 // deterministically (paper §I).
+//
+// There are two kinds of stream:
+//
+//   - New is the compile stream. It runs on math/rand's generator, and
+//     its outputs are pinned: dialect compilation draws from it, so
+//     changing them would change every compiled dialect.
+//   - Split is the per-message stream. It takes exactly one draw from
+//     its parent and runs a SplitMix64 child that is cheap to create.
+//     Nothing pins its outputs byte for byte; only the one-draw rule is
+//     pinned, so what the parent yields afterwards does not change.
 package rng
 
 import (
@@ -21,10 +31,28 @@ func New(seed int64) *R {
 	return &R{Rand: rand.New(rand.NewSource(seed))}
 }
 
-// Split derives an independent generator; successive calls derive
-// different streams.
+// Split derives an independent generator from exactly one draw of r;
+// successive calls derive different streams. The child runs on
+// SplitMix64, so a split costs a few small allocations instead of
+// seeding a fresh math/rand table.
 func (r *R) Split() *R {
-	return New(r.Int63())
+	return &R{Rand: rand.New(&splitMix{s: uint64(r.Int63())})}
+}
+
+// splitMix is SplitMix64 (Steele, Lea and Flood, "Fast splittable
+// pseudorandom number generators", OOPSLA 2014) as a rand.Source64.
+type splitMix struct{ s uint64 }
+
+func (x *splitMix) Seed(seed int64) { x.s = uint64(seed) }
+
+func (x *splitMix) Int63() int64 { return int64(x.Uint64() >> 1) }
+
+func (x *splitMix) Uint64() uint64 {
+	x.s += 0x9e3779b97f4a7c15
+	z := x.s
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // Bytes returns n random bytes.

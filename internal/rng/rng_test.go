@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -120,5 +121,40 @@ func TestSplitDrawsOnce(t *testing.T) {
 		if got := r.Uint64(); got != want[1] {
 			t.Fatalf("New(%d) after one Split: next output %#x, want %#x", seed, got, want[1])
 		}
+	}
+}
+
+// TestSplitMixReference checks the split generator against the
+// reference SplitMix64 outputs for seed 1234567.
+func TestSplitMixReference(t *testing.T) {
+	x := splitMix{s: 1234567}
+	for i, want := range []uint64{
+		6457827717110365317, 3203168211198807973, 9817491932198370423,
+		4593380528125082431, 16408922859458223821,
+	} {
+		if got := x.Uint64(); got != want {
+			t.Fatalf("output %d = %d, want %d", i, got, want)
+		}
+	}
+}
+
+var sink *R
+
+// TestSplitCost bounds what one Split costs: a message path splits once
+// per message, so a seeding table must not come back.
+func TestSplitCost(t *testing.T) {
+	r := New(5)
+	if n := testing.AllocsPerRun(1000, func() { sink = r.Split() }); n > 3 {
+		t.Errorf("Split: %.1f allocs, want <= 3", n)
+	}
+	const splits = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < splits; i++ {
+		sink = r.Split()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / splits; per >= 256 {
+		t.Errorf("Split: %d bytes, want < 256", per)
 	}
 }
