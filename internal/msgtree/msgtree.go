@@ -52,7 +52,16 @@ func New(g *graph.Graph, r *rng.R) *Message {
 
 // instantiate builds the skeleton Value for node n.
 func (m *Message) instantiate(n *graph.Node, parent *Value) *Value {
-	v := &Value{Node: n, Parent: parent}
+	v := &Value{}
+	m.fill(v, n, parent)
+	return v
+}
+
+// fill builds the skeleton of node n in the slot v. A Sequence's
+// children share one slab, so a sequence costs two allocations however
+// many children it has.
+func (m *Message) fill(v *Value, n *graph.Node, parent *Value) {
+	*v = Value{Node: n, Parent: parent}
 	switch n.Kind {
 	case graph.Terminal:
 		if n.Origin.Role == graph.RolePad {
@@ -60,15 +69,26 @@ func (m *Message) instantiate(n *graph.Node, parent *Value) *Value {
 			v.set = true
 		}
 	case graph.Sequence:
-		for _, c := range n.Children {
-			v.Kids = append(v.Kids, m.instantiate(c, v))
+		v.Kids = Slab(len(n.Children))
+		for i, c := range n.Children {
+			m.fill(v.Kids[i], c, v)
 		}
 	case graph.Optional:
 		// Child instantiated by Enable.
 	case graph.Repetition, graph.Tabular:
 		// Items appended by Add.
 	}
-	return v
+}
+
+// Slab returns n pointers into one fresh []Value, for the children of
+// one Sequence.
+func Slab(n int) []*Value {
+	slab := make([]Value, n)
+	kids := make([]*Value, n)
+	for i := range slab {
+		kids[i] = &slab[i]
+	}
+	return kids
 }
 
 // IsSet reports whether a Terminal instance holds a value.

@@ -27,16 +27,15 @@ func perr(n *graph.Node, pos int, format string, args ...any) error {
 // be the same (transformed) graph that serialized the message. The rng is
 // only used if the resulting message is modified and re-serialized.
 func Parse(g *graph.Graph, data []byte, r *rng.R) (*msgtree.Message, error) {
-	m := &msgtree.Message{G: g, Rng: r}
+	m := &msgtree.Message{G: g, Rng: r, Root: &msgtree.Value{}}
 	p := &parser{m: m}
-	v, pos, err := p.node(g.Root, nil, data, 0, len(data))
+	pos, err := p.nodeAt(m.Root, g.Root, nil, data, 0, len(data))
 	if err != nil {
 		return nil, err
 	}
 	if pos != len(data) {
 		return nil, perr(g.Root, pos, "%d trailing bytes", len(data)-pos)
 	}
-	m.Root = v
 	return m, nil
 }
 
@@ -84,35 +83,35 @@ func (p *parser) extent(n *graph.Node, parent *msgtree.Value, data []byte, pos, 
 	}
 }
 
-// node parses one graph node from data[pos:end], attaching the resulting
-// Value to parent, and returns the new cursor.
-func (p *parser) node(n *graph.Node, parent *msgtree.Value, data []byte, pos, end int) (*msgtree.Value, int, error) {
+// nodeAt parses one graph node from data[pos:end] into the slot v, a
+// child of parent, and returns the new cursor.
+func (p *parser) nodeAt(v *msgtree.Value, n *graph.Node, parent *msgtree.Value, data []byte, pos, end int) (int, error) {
 	if n.Reversed {
 		ext, err := p.extent(n, parent, data, pos, end)
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		if pos+ext > end {
-			return nil, 0, perr(n, pos, "reversed region of %d bytes exceeds remaining %d", ext, end-pos)
+			return 0, perr(n, pos, "reversed region of %d bytes exceeds remaining %d", ext, end-pos)
 		}
 		scratch := make([]byte, ext)
 		for i := 0; i < ext; i++ {
 			scratch[i] = data[pos+ext-1-i]
 		}
-		v, sub, err := p.nodeInner(n, parent, scratch, 0, ext)
+		sub, err := p.nodeInner(v, n, parent, scratch, 0, ext)
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		if sub != ext {
-			return nil, 0, perr(n, pos, "reversed region consumed %d of %d bytes", sub, ext)
+			return 0, perr(n, pos, "reversed region consumed %d of %d bytes", sub, ext)
 		}
-		return v, pos + ext, nil
+		return pos + ext, nil
 	}
-	return p.nodeInner(n, parent, data, pos, end)
+	return p.nodeInner(v, n, parent, data, pos, end)
 }
 
-func (p *parser) nodeInner(n *graph.Node, parent *msgtree.Value, data []byte, pos, end int) (*msgtree.Value, int, error) {
-	v := &msgtree.Value{Node: n, Parent: parent}
+func (p *parser) nodeInner(v *msgtree.Value, n *graph.Node, parent *msgtree.Value, data []byte, pos, end int) (int, error) {
+	*v = msgtree.Value{Node: n, Parent: parent}
 	var err error
 	switch n.Kind {
 	case graph.Terminal:
@@ -129,9 +128,9 @@ func (p *parser) nodeInner(n *graph.Node, parent *msgtree.Value, data []byte, po
 		err = perr(n, pos, "unknown node kind %v", n.Kind)
 	}
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	return v, pos, nil
+	return pos, nil
 }
 
 func (p *parser) terminal(n *graph.Node, v *msgtree.Value, data []byte, pos, end int) (int, error) {
@@ -193,12 +192,16 @@ func (p *parser) sequence(n *graph.Node, v *msgtree.Value, data []byte, pos, end
 	case graph.End:
 		enforce = true
 	}
-	for _, c := range n.Children {
-		kid, next, err := p.node(c, v, data, pos, subEnd)
+	// Kids grows as children parse, so references resolve only against
+	// siblings already parsed; the slab's capacity keeps it in place.
+	kids := msgtree.Slab(len(n.Children))
+	v.Kids = kids[:0]
+	for i, c := range n.Children {
+		next, err := p.nodeAt(kids[i], c, v, data, pos, subEnd)
 		if err != nil {
 			return 0, err
 		}
-		v.Kids = append(v.Kids, kid)
+		v.Kids = append(v.Kids, kids[i])
 		pos = next
 	}
 	if enforce && pos != subEnd {
@@ -240,10 +243,15 @@ func (p *parser) repSplitPair(n *graph.Node, v *msgtree.Value, data []byte, pos,
 		return 0, perr(n, pos, "region of %d bytes is not a multiple of element size %d", ext, per)
 	}
 	count := ext / per
+	halves := msgtree.Slab(len(n.Children))
+	v.Kids = halves[:0]
 	for i, half := range n.Children {
-		hv := &msgtree.Value{Node: half, Parent: v}
-		for j := 0; j < count; j++ {
-			item, next, err := p.node(half.Child(), hv, data, pos, pos+sizes[i])
+		hv := halves[i]
+		*hv = msgtree.Value{Node: half, Parent: v}
+		items := msgtree.Slab(count)
+		hv.Kids = items[:0]
+		for j, item := range items {
+			next, err := p.nodeAt(item, half.Child(), hv, data, pos, pos+sizes[i])
 			if err != nil {
 				return 0, err
 			}
@@ -281,7 +289,8 @@ func (p *parser) optional(n *graph.Node, v *msgtree.Value, data []byte, pos, end
 		return pos, nil
 	}
 	v.Present = true
-	kid, next, err := p.node(n.Child(), v, data, pos, end)
+	kid := &msgtree.Value{}
+	next, err := p.nodeAt(kid, n.Child(), v, data, pos, end)
 	if err != nil {
 		return 0, err
 	}
@@ -299,7 +308,8 @@ func (p *parser) repetition(n *graph.Node, v *msgtree.Value, data []byte, pos, e
 			if pos >= end {
 				return 0, perr(n, pos, "unterminated repetition (terminator %q)", n.Boundary.Delim)
 			}
-			item, next, err := p.node(n.Child(), v, data, pos, end)
+			item := &msgtree.Value{}
+			next, err := p.nodeAt(item, n.Child(), v, data, pos, end)
 			if err != nil {
 				return 0, err
 			}
@@ -322,7 +332,8 @@ func (p *parser) repetition(n *graph.Node, v *msgtree.Value, data []byte, pos, e
 			subEnd = pos + int(l)
 		}
 		for pos < subEnd {
-			item, next, err := p.node(n.Child(), v, data, pos, subEnd)
+			item := &msgtree.Value{}
+			next, err := p.nodeAt(item, n.Child(), v, data, pos, subEnd)
 			if err != nil {
 				return 0, err
 			}
@@ -353,7 +364,8 @@ func (p *parser) tabular(n *graph.Node, v *msgtree.Value, data []byte, pos, end 
 		return 0, perr(n, pos, "count %d exceeds remaining %d bytes", count, end-pos)
 	}
 	for i := uint64(0); i < count; i++ {
-		item, next, err := p.node(n.Child(), v, data, pos, end)
+		item := &msgtree.Value{}
+		next, err := p.nodeAt(item, n.Child(), v, data, pos, end)
 		if err != nil {
 			return 0, err
 		}
