@@ -350,38 +350,7 @@ func BenchmarkSession(b *testing.B) {
 	b.Run("roundtrip", func(b *testing.B) {
 		for _, perNode := range []int{0, 2} {
 			b.Run(fmt.Sprintf("perNode=%d", perNode), func(b *testing.B) {
-				opts := protoobf.Options{PerNode: perNode, Seed: 11}
-				epA, err := protoobf.NewEndpoint(sessionPingSpec, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				epB, err := protoobf.NewEndpoint(sessionPingSpec, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ca, cb := protoobf.Pipe()
-				a, err := epA.Session(ca)
-				if err != nil {
-					b.Fatal(err)
-				}
-				peer, err := epB.Session(cb)
-				if err != nil {
-					b.Fatal(err)
-				}
-				m, err := a.NewMessage()
-				if err != nil {
-					b.Fatal(err)
-				}
-				s := m.Scope()
-				if err := s.SetUint("a", 7); err != nil {
-					b.Fatal(err)
-				}
-				if err := s.SetUint("b", 1234); err != nil {
-					b.Fatal(err)
-				}
-				if err := s.SetBytes("payload", []byte("01234567")); err != nil {
-					b.Fatal(err)
-				}
+				a, peer, m := pingPair(b, perNode)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -395,6 +364,74 @@ func BenchmarkSession(b *testing.B) {
 			})
 		}
 	})
+}
+
+// pingPair returns a session, its peer on another endpoint of the same
+// family, and a composed ping message for the session to send.
+func pingPair(tb testing.TB, perNode int) (a, peer *protoobf.Session, m *protoobf.Message) {
+	tb.Helper()
+	opts := protoobf.Options{PerNode: perNode, Seed: 11}
+	epA, err := protoobf.NewEndpoint(sessionPingSpec, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	epB, err := protoobf.NewEndpoint(sessionPingSpec, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ca, cb := protoobf.Pipe()
+	if a, err = epA.Session(ca); err != nil {
+		tb.Fatal(err)
+	}
+	if peer, err = epB.Session(cb); err != nil {
+		tb.Fatal(err)
+	}
+	if m, err = a.NewMessage(); err != nil {
+		tb.Fatal(err)
+	}
+	s := m.Scope()
+	if err := s.SetUint("a", 7); err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.SetUint("b", 1234); err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.SetBytes("payload", []byte("01234567")); err != nil {
+		tb.Fatal(err)
+	}
+	return a, peer, m
+}
+
+// TestRoundTripAllocBytes bounds the heap bytes of one warm message
+// round trip (Send plus a dialect-decoding Recv) at perNode 2, the
+// shape of BenchmarkSession/roundtrip/perNode=2. A per-message seeding
+// table (about 5 KiB each) cannot come back unnoticed.
+func TestRoundTripAllocBytes(t *testing.T) {
+	const (
+		trips = 500
+		limit = 2048
+	)
+	a, peer, m := pingPair(t, 2)
+	trip := func() {
+		if err := a.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := peer.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		trip() // warm the pools and the dialect caches
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < trips; i++ {
+		trip()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / trips; per > limit {
+		t.Errorf("round trip allocates %d B, want <= %d", per, limit)
+	}
 }
 
 // BenchmarkEndpointSharedSessions measures the many-sessions-one-family
