@@ -3,10 +3,14 @@ package bench
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"protoobf/internal/rng"
 	"protoobf/internal/stats"
+	"protoobf/internal/transform"
+	"protoobf/internal/wire"
 )
 
 // smallCfg keeps unit-test campaigns fast; the CLI runs the full size.
@@ -79,23 +83,114 @@ func TestRunUnknownProtocol(t *testing.T) {
 	}
 }
 
-func TestTimeFitsPositiveSlope(t *testing.T) {
-	cfg := Config{Protocol: "modbus", Runs: 4, Levels: []int{1, 3}, MsgsPerRun: 6, Seed: 7}
-	res, err := Run(cfg)
+// workPoint is the deterministic per-message work of one campaign run:
+// its applied transformations and the heap allocations of one serialize
+// and one parse, averaged over the run's messages.
+type workPoint struct {
+	applied, serialize, parse float64
+}
+
+// measureWork runs the figure 4/5 campaign shape on Modbus (runs
+// dialects per level, msgs message pairs each) and counts allocations
+// with testing.AllocsPerRun instead of timing them.
+func measureWork(t *testing.T, levels []int, runs, msgs int, seed int64) []workPoint {
+	t.Helper()
+	w, err := newWorkload("modbus")
 	if err != nil {
 		t.Fatal(err)
 	}
-	parse, ser, err := res.TimeFits()
-	if err != nil {
-		t.Fatal(err)
+	root := rng.New(seed)
+	var points []workPoint
+	for _, perNode := range levels {
+		for run := 0; run < runs; run++ {
+			r := rng.New(root.Int63())
+			reqRes, err := transform.Obfuscate(w.reqG, transform.Options{PerNode: perNode}, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			respRes, err := transform.Obfuscate(w.respG, transform.Options{PerNode: perNode}, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := workPoint{applied: float64(len(reqRes.Applied) + len(respRes.Applied))}
+			n := 0.0
+			for i := 0; i < msgs; i++ {
+				pair, err := w.pair(reqRes.Graph, respRes.Graph, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for mi, m := range pair {
+					g := reqRes.Graph
+					if mi == 1 {
+						g = respRes.Graph
+					}
+					data, err := wire.Serialize(m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var serErr, parseErr error
+					p.serialize += testing.AllocsPerRun(3, func() { _, serErr = wire.Serialize(m) })
+					p.parse += testing.AllocsPerRun(3, func() { _, parseErr = wire.Parse(g, data, r) })
+					if err := errors.Join(serErr, parseErr); err != nil {
+						t.Fatal(err)
+					}
+					n++
+				}
+			}
+			p.serialize /= n
+			p.parse /= n
+			points = append(points, p)
+		}
 	}
-	// The paper's figures show times increasing linearly with the number
-	// of transformations; at minimum the slopes must not be negative
-	// beyond noise.
+	return points
+}
+
+// workGrows fits per-message allocations against applied
+// transformations and fails unless both slopes are positive: the
+// paper's figure 4/5 claim that cost grows with the transformations
+// applied.
+func workGrows(points []workPoint) (parse, serialize stats.LinReg, err error) {
+	var xs, parseYs, serYs []float64
+	for _, p := range points {
+		xs = append(xs, p.applied)
+		parseYs = append(parseYs, p.parse)
+		serYs = append(serYs, p.serialize)
+	}
+	if parse, err = stats.Fit(xs, parseYs); err != nil {
+		return
+	}
+	if serialize, err = stats.Fit(xs, serYs); err != nil {
+		return
+	}
+	if parse.Slope <= 0 || serialize.Slope <= 0 {
+		err = fmt.Errorf("work does not grow with transformations: parse slope %v, serialize slope %v allocs per transformation",
+			parse.Slope, serialize.Slope)
+	}
+	return
+}
+
+// TestWorkGrowsWithTransformations checks figures 4/5 on allocations,
+// which do not depend on the clock; the timed fit stays in the -figure
+// time report.
+func TestWorkGrowsWithTransformations(t *testing.T) {
+	parse, ser, err := workGrows(measureWork(t, []int{1, 3}, 4, 6, 7))
 	t.Logf("parse: %v", parse)
 	t.Logf("serialize: %v", ser)
-	if parse.Slope < -1e-4 || ser.Slope < -1e-4 {
-		t.Errorf("time slopes negative: parse %v, serialize %v", parse.Slope, ser.Slope)
+	if err != nil {
+		t.Error(err)
+	}
+}
+
+// TestWorkGrowsRejectsFlatCost feeds workGrows a stub whose cost does
+// not move with the transformations applied; it must fail.
+func TestWorkGrowsRejectsFlatCost(t *testing.T) {
+	flat := []workPoint{{10, 40, 60}, {20, 40, 60}, {30, 40, 60}, {40, 40, 60}}
+	if _, _, err := workGrows(flat); err == nil {
+		t.Error("workGrows accepted a flat cost")
+	}
+	falling := []workPoint{{10, 40, 60}, {20, 41, 59}, {30, 42, 58}}
+	if _, _, err := workGrows(falling); err == nil {
+		t.Error("workGrows accepted a parse cost that falls")
 	}
 }
 
