@@ -50,3 +50,26 @@ func TestBackendFlagAccumulates(t *testing.T) {
 		t.Fatal("bad flag value accepted")
 	}
 }
+
+// TestBackendObsFlagRejectsDuplicate: two -backend-obs flags with one
+// name would put duplicate series on the fleet page.
+func TestBackendObsFlagRejectsDuplicate(t *testing.T) {
+	var b obsBackendFlags
+	if err := b.Set("b=127.0.0.1:1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Set("b=127.0.0.1:2"); err == nil {
+		t.Fatal("duplicate backend obs name accepted")
+	}
+	if err := b.Set("c=127.0.0.1:2"); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != "b=127.0.0.1:1,c=127.0.0.1:2" {
+		t.Fatalf("String() = %q", got)
+	}
+	err := run([]string{"-listen", "127.0.0.1:0", "-backend", "b1=127.0.0.1:1",
+		"-backend-obs", "b=127.0.0.1:1", "-backend-obs", "b=127.0.0.1:2"})
+	if err == nil || !strings.Contains(err.Error(), "given twice") {
+		t.Fatalf("run with a duplicate -backend-obs: %v", err)
+	}
+}

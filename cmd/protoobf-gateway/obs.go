@@ -45,6 +45,13 @@ func (b *obsBackendFlags) Set(v string) error {
 	if err != nil {
 		return err
 	}
+	// The name is the backend label of the fleet page; a repeat would
+	// write every family's series twice.
+	for _, be := range *b {
+		if be.name == name {
+			return fmt.Errorf("backend obs %q given twice", name)
+		}
+	}
 	*b = append(*b, obsBackend{name: name, addr: addr})
 	return nil
 }
