@@ -129,25 +129,34 @@ func ApplyOp(op ValueOp, width int, v Val) (Val, error) {
 			return UintVal((v.U ^ op.K) & mask), nil
 		}
 	case OpByteAdd, OpByteXor:
-		if !v.IsBytes {
-			return Val{}, fmt.Errorf("byte op %v on integer value", op.Kind)
-		}
-		if len(op.KB) == 0 {
-			return Val{}, fmt.Errorf("byte op %v with empty key", op.Kind)
-		}
-		out := make([]byte, len(v.B))
-		for i, c := range v.B {
-			k := op.KB[i%len(op.KB)]
-			if op.Kind == OpByteAdd {
-				out[i] = c + k
-			} else {
-				out[i] = c ^ k
-			}
-		}
-		return BytesVal(out), nil
+		return byteOp(op, v, false)
 	default:
 		return Val{}, fmt.Errorf("unknown op %v", op.Kind)
 	}
+}
+
+// byteOp adds or XORs op's key, repeated, into a copy of v's bytes;
+// with sub an OpByteAdd subtracts the key instead (its inverse).
+func byteOp(op ValueOp, v Val, sub bool) (Val, error) {
+	if !v.IsBytes {
+		return Val{}, fmt.Errorf("byte op %v on integer value", op.Kind)
+	}
+	if len(op.KB) == 0 {
+		return Val{}, fmt.Errorf("byte op %v with empty key", op.Kind)
+	}
+	out := make([]byte, len(v.B))
+	for i, c := range v.B {
+		k := op.KB[i%len(op.KB)]
+		switch {
+		case op.Kind == OpByteXor:
+			out[i] = c ^ k
+		case sub:
+			out[i] = c - k
+		default:
+			out[i] = c + k
+		}
+	}
+	return BytesVal(out), nil
 }
 
 // InvertOp transforms v in the decode (wire -> user) direction.
@@ -161,10 +170,7 @@ func InvertOp(op ValueOp, width int, v Val) (Val, error) {
 	case OpXor, OpByteXor:
 		// self-inverse
 	case OpByteAdd:
-		inv.KB = make([]byte, len(op.KB))
-		for i, k := range op.KB {
-			inv.KB[i] = -k
-		}
+		return byteOp(op, v, true)
 	default:
 		return Val{}, fmt.Errorf("unknown op %v", op.Kind)
 	}

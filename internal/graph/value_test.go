@@ -90,18 +90,38 @@ func TestOpsInvertible(t *testing.T) {
 		if !dec.Equal(v) {
 			return false
 		}
-		// Byte pipeline on random bytes.
+		// Byte pipeline on random bytes, with add keys of one byte,
+		// three bytes and more bytes than the value.
 		bv := BytesVal(key)
-		bops := []ValueOp{{Kind: OpByteAdd, KB: []byte{1, 2, 3}}, {Kind: OpByteXor, KB: key}}
-		benc, err := ApplyOps(bops, 0, bv)
-		if err != nil {
-			return false
+		long := append(append([]byte(nil), key...), 0x80, 0xFF, 7)
+		for _, addKey := range [][]byte{key[:1], {1, 2, 3}, long} {
+			bops := []ValueOp{{Kind: OpByteAdd, KB: addKey}, {Kind: OpByteXor, KB: key}}
+			benc, err := ApplyOps(bops, 0, bv)
+			if err != nil {
+				return false
+			}
+			bdec, err := InvertOps(bops, 0, benc)
+			if err != nil || !bdec.Equal(bv) {
+				return false
+			}
 		}
-		bdec, err := InvertOps(bops, 0, benc)
-		return err == nil && bdec.Equal(bv)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestInvertByteAdd pins the decode direction of OpByteAdd: the key,
+// repeated, is subtracted byte by byte modulo 256.
+func TestInvertByteAdd(t *testing.T) {
+	op := ValueOp{Kind: OpByteAdd, KB: []byte{1, 2, 0xFF}}
+	got, err := InvertOp(op, 0, BytesVal([]byte{10, 10, 10, 10, 0}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := BytesVal([]byte{9, 8, 11, 9, 0xFE}); !got.Equal(want) {
+		t.Errorf("InvertOp = %v, want %v", got, want)
 	}
 }
 
