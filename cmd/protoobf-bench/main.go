@@ -10,21 +10,17 @@
 //	protoobf-bench -protocol modbus -figure potency    # figure 7 data
 //	protoobf-bench -resilience                         # §VII-D
 //	protoobf-bench -ablation -protocol modbus          # per-transformation study
-//	protoobf-bench -session -epochs 64 -rekey-every 8  # scheduled-rotation session workload
-//	protoobf-bench -endpoint -sessions 64 -epochs 16   # many sessions, one dialect family
-//	protoobf-bench -endpoint -shards 1                 # same, on the single-mutex cache geometry
-//	protoobf-bench -endpoint -prefetch 16 -metrics     # rotation daemon pre-compiling the epochs
-//	protoobf-bench -endpoint -tcp                      # same workload over loopback TCP
-//	protoobf-bench -migrate -sessions 8 -cycles 4      # kill-and-resume migration workload
-//	protoobf-bench -migrate -tcp -metrics              # same over loopback TCP, with snapshots
 //	protoobf-bench -adversary -out bench-out           # standing adversary run, BENCH_<runid>.json
 //	protoobf-bench -gateway -sessions 1024             # fleet migration through the routing gateway
 //	protoobf-bench -gateway -inproc -sessions 64       # same with goroutine backends (no fork)
 //	protoobf-bench -all                                # everything, default sizes
 //
+// Throughput, CPU and memory are timed by the perfbench module, not
+// here.
+//
 // SIGINT/SIGTERM cancel a run cleanly: in-flight workloads stop between
-// round trips, TCP listeners close, and background daemons exit before
-// the process does.
+// round trips, and TCP listeners and gateway backends close before the
+// process does.
 package main
 
 import (
@@ -35,6 +31,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -87,23 +84,14 @@ func run(ctx context.Context, args []string) error {
 	shapeWL := fs.Bool("shape", false, "with -adversary: also run the shaped evaluation and fail if a gated shaped distinguisher beats the stealth ceiling")
 	outDir := fs.String("out", ".", "directory the adversary run writes its BENCH_<runid>.json into")
 	runID := fs.String("runid", "", "run id naming the BENCH JSON file (default: UTC timestamp)")
-	sessionWL := fs.Bool("session", false, "run the scheduled-rotation session workload")
-	endpointWL := fs.Bool("endpoint", false, "run the many-sessions-one-family endpoint workload")
-	migrateWL := fs.Bool("migrate", false, "run the kill-and-resume session migration workload")
 	gatewayWL := fs.Bool("gateway", false, "run the multi-process gateway fleet-migration workload and emit BENCH_<runid>.json")
 	udpWL := fs.Bool("udp", false, "run the datagram workload (lossy packet link, batch fast path, loopback UDP) and fail on decode crashes or nonzero zero-overhead data bytes")
 	inproc := fs.Bool("inproc", false, "with -gateway: run the backends as goroutines instead of child processes")
 	backendsN := fs.Int("backends", 2, "backend processes in the gateway workload")
 	gatewayBackend := fs.String("gateway-backend", "", "internal: serve one backend of the -gateway workload (JSON config)")
-	cycles := fs.Int("cycles", 4, "kill/resume cycles per session in the migration workload")
-	sessions := fs.Int("sessions", 16, "concurrent session pairs in the endpoint workload")
-	shards := fs.Int("shards", 0, "version-cache lock shards in the endpoint workload (0 = default, 1 = single mutex)")
-	prefetch := fs.Int("prefetch", 0, "run the rotation daemon with this prefetch depth in the endpoint workload (0 = off; >= -epochs pre-compiles the whole run)")
-	overTCP := fs.Bool("tcp", false, "run the endpoint workload over loopback TCP (Endpoint.Listen/Dial) instead of in-memory duplexes")
-	showMetrics := fs.Bool("metrics", false, "print the endpoints' observability snapshots after the workload")
-	epochs := fs.Int("epochs", 32, "scheduled rotations to cross in the session workloads")
-	rekeyEvery := fs.Uint64("rekey-every", 0, "propose an in-band rekey every N epochs in the session workloads (0 = never)")
-	window := fs.Int("window", 0, "dialect cache window for the session workloads (0 = defaults)")
+	cycles := fs.Int("cycles", 2, "migrate cycles per session in the gateway workload")
+	sessions := fs.Int("sessions", 1024, "concurrent client sessions per phase in the gateway workload")
+	showMetrics := fs.Bool("metrics", false, "with -gateway: print each backend's metrics after the workload")
 	obsAddr := fs.String("obs", "", "serve /metrics, /snapshot.json and /debug/pprof on this address while workloads run (empty = off)")
 	all := fs.Bool("all", false, "run every experiment for both protocols")
 	if err := fs.Parse(args); err != nil {
@@ -130,24 +118,20 @@ func run(ctx context.Context, args []string) error {
 		fmt.Fprintf(os.Stderr, "protoobf-bench: obs on http://%s/metrics\n", obsBound)
 	}
 
-	// The gateway workload has its own (larger) defaults for the shared
-	// sizing flags; only explicit values override them.
+	// The gateway and datagram workloads have their own defaults for
+	// -msgs; only an explicit value overrides them.
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
 	if *gatewayWL {
 		gcfg := bench.GatewayConfig{
+			Sessions: *sessions,
+			Cycles:   *cycles,
 			Backends: *backendsN,
 			Seed:     *seed,
 			InProc:   *inproc,
 			Metrics:  *showMetrics,
 			ObsAddr:  obsBound,
-		}
-		if explicit["sessions"] {
-			gcfg.Sessions = *sessions
-		}
-		if explicit["cycles"] {
-			gcfg.Cycles = *cycles
 		}
 		if explicit["msgs"] {
 			gcfg.MsgsPerCycle = *msgs
@@ -254,57 +238,6 @@ func run(ctx context.Context, args []string) error {
 		return nil
 	}
 
-	if *migrateWL {
-		res, err := bench.RunMigrate(ctx, bench.MigrateConfig{
-			Sessions:     *sessions,
-			Cycles:       *cycles,
-			MsgsPerCycle: *msgs,
-			Seed:         *seed,
-			OverTCP:      *overTCP,
-			Metrics:      *showMetrics,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Table())
-		return nil
-	}
-
-	if *endpointWL {
-		res, err := bench.RunEndpoint(ctx, bench.EndpointConfig{
-			Sessions:     *sessions,
-			Epochs:       *epochs,
-			MsgsPerEpoch: *msgs,
-			RekeyEvery:   *rekeyEvery,
-			Seed:         *seed,
-			Window:       *window,
-			Shards:       *shards,
-			Prefetch:     *prefetch,
-			OverTCP:      *overTCP,
-			Metrics:      *showMetrics,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Table())
-		return nil
-	}
-
-	if *sessionWL {
-		res, err := bench.RunSession(ctx, bench.SessionConfig{
-			Epochs:       *epochs,
-			MsgsPerEpoch: *msgs,
-			RekeyEvery:   *rekeyEvery,
-			Seed:         *seed,
-			Window:       *window,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Table())
-		return nil
-	}
-
 	if *all {
 		for _, p := range []string{"http", "modbus"} {
 			res, err := bench.Run(bench.Config{Protocol: p, Runs: *runs, MsgsPerRun: *msgs, Seed: *seed})
@@ -385,16 +318,6 @@ func run(ctx context.Context, args []string) error {
 }
 
 func firstLines(s string, n int) string {
-	out := ""
-	count := 0
-	for _, c := range s {
-		out += string(c)
-		if c == '\n' {
-			count++
-			if count == n {
-				break
-			}
-		}
-	}
-	return out
+	parts := strings.SplitAfterN(s, "\n", n+1)
+	return strings.Join(parts[:min(n, len(parts))], "")
 }

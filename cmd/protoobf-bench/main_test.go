@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -29,27 +30,6 @@ func TestRunFigures(t *testing.T) {
 	}
 }
 
-func TestRunSessionWorkload(t *testing.T) {
-	if err := run(context.Background(), []string{"-session", "-epochs", "4", "-msgs", "4", "-rekey-every", "2", "-window", "4"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunEndpointWorkload(t *testing.T) {
-	if err := run(context.Background(), []string{"-endpoint", "-sessions", "4", "-epochs", "3", "-msgs", "4", "-rekey-every", "2", "-window", "16", "-shards", "2"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunMigrateWorkload(t *testing.T) {
-	if err := run(context.Background(), []string{"-migrate", "-sessions", "3", "-cycles", "2", "-msgs", "3"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), []string{"-migrate", "-sessions", "2", "-cycles", "2", "-msgs", "2", "-tcp", "-metrics"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunAdversaryWorkload(t *testing.T) {
 	dir := t.TempDir()
 	if err := run(context.Background(), []string{"-adversary", "-out", dir, "-runid", "cli-test", "-seed", "3"}); err != nil {
@@ -68,8 +48,10 @@ func TestRunAdversaryWorkload(t *testing.T) {
 			t.Errorf("BENCH JSON lacks %q", key)
 		}
 	}
-	if _, ok := rep["perf"]; ok {
-		t.Error("BENCH JSON carries the removed perf block")
+	for _, key := range []string{"perf", "latency"} {
+		if _, ok := rep[key]; ok {
+			t.Errorf("BENCH JSON carries the removed %s block", key)
+		}
 	}
 	if got := rep["schema"]; got != "protoobf-bench/v2" {
 		t.Errorf("schema = %v", got)
@@ -86,10 +68,23 @@ func TestRunErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-protocol", "ftp", "-table", "-runs", "1"}); err == nil {
 		t.Error("unknown protocol accepted")
 	}
+	// Timing throughput is perfbench's job: the timed workloads' flags
+	// must not parse.
+	for _, flag := range []string{"-session", "-endpoint", "-migrate"} {
+		if err := run(context.Background(), []string{flag}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want an unknown-flag error", flag, err)
+		}
+	}
 }
 
 func TestFirstLines(t *testing.T) {
-	if got := firstLines("a\nb\nc\n", 2); got != "a\nb\n" {
-		t.Errorf("firstLines = %q", got)
+	for _, c := range []struct{ in, want string }{
+		{"a\nb\nc\n", "a\nb\n"},
+		{"a\nb\n", "a\nb\n"},
+		{"a", "a"},
+	} {
+		if got := firstLines(c.in, 2); got != c.want {
+			t.Errorf("firstLines(%q, 2) = %q, want %q", c.in, got, c.want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package protoobf_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -246,6 +247,47 @@ func TestEndpointConcurrentSessions(t *testing.T) {
 
 	if n := server.Rotation().CacheLen(); n == 0 {
 		t.Error("server endpoint compiled nothing — sessions bypassed the shared cache")
+	}
+}
+
+// TestSessionsVaryFirstFrame: the same first message, sent by sessions
+// on two endpoints of one family, goes out as different bytes. The
+// dialect is shared, but the message randomness (the random halves of
+// splits, padding) is seeded per session, so sessions do not repeat
+// each other's representations of a message.
+func TestSessionsVaryFirstFrame(t *testing.T) {
+	// Seed 10's epoch-0 dialect splits enough fields that about half
+	// of the frame's bytes come from the message rng.
+	opts := protoobf.Options{PerNode: 2, Seed: 10}
+	firstFrame := func() []byte {
+		t.Helper()
+		ep, err := protoobf.NewEndpoint(beaconSpec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wire bytes.Buffer
+		s, err := ep.Session(&wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Release()
+		m, err := s.NewMessage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Scope().SetUint("seqno", 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Scope().SetString("note", "ping"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		return wire.Bytes()
+	}
+	if a, b := firstFrame(), firstFrame(); bytes.Equal(a, b) {
+		t.Fatalf("two sessions wrote the same first frame: %x", a)
 	}
 }
 

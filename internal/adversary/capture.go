@@ -18,9 +18,12 @@
 //     the dialect choice itself could leak to an observer who can replay
 //     a known message.
 //
-// All harness randomness is seeded, so every run is reproducible and
-// the accuracies it reports are comparable across commits — the BENCH
-// trajectory emitted by protoobf-bench -adversary.
+// All harness randomness is seeded (traffic, mutations, capture
+// clocks), so the accuracies a run reports are comparable across
+// commits — the BENCH trajectory emitted by protoobf-bench -adversary.
+// The sessions under test seed their message randomness from
+// crypto/rand, as deployed sessions do, so captured bytes, and the
+// thresholds fitted to them, differ from run to run.
 package adversary
 
 import (
@@ -35,8 +38,9 @@ import (
 )
 
 // Spec is the message format the harness captures: telemetry-style
-// messages (the session workload shape) with a variable-length status
-// field, so frame lengths carry signal even before obfuscation.
+// messages (the shape of the bench gateway workload) with a
+// variable-length status field, so frame lengths carry signal even
+// before obfuscation.
 const Spec = `
 protocol advprobe;
 root seq m end {

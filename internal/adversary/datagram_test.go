@@ -121,8 +121,9 @@ func FuzzDatagramDecode(f *testing.F) {
 // TestRegenDatagramFuzzCorpus rewrites the checked-in seed corpus of
 // FuzzDatagramDecode when PROTOOBF_REGEN_CORPUS=1: pristine packets of
 // both wire formats plus one mutant per strategy, in the Go fuzzing
-// corpus-file encoding. Deterministic, so regeneration is a no-op diff
-// unless the wire format changed.
+// corpus-file encoding. The packets' random halves and padding come
+// from per-session crypto/rand seeds, so regeneration rewrites their
+// bytes; the packet shapes change only with the wire format.
 func TestRegenDatagramFuzzCorpus(t *testing.T) {
 	if os.Getenv("PROTOOBF_REGEN_CORPUS") != "1" {
 		t.Skip("set PROTOOBF_REGEN_CORPUS=1 to rewrite testdata/fuzz/FuzzDatagramDecode")

@@ -101,7 +101,6 @@ type BenchReport struct {
 	Distinguishers []adversary.Accuracy       `json:"distinguishers,omitempty"`
 	Mutation       *adversary.MutationResult  `json:"mutation,omitempty"`
 	Covert         []adversary.CovertEstimate `json:"covert,omitempty"`
-	Latency        *LatencyReport             `json:"latency,omitempty"`
 	Shaping        *ShapingReport             `json:"shaping,omitempty"`
 	Gateway        *GatewayReport             `json:"gateway,omitempty"`
 	Datagram       *DatagramReport            `json:"datagram,omitempty"`
@@ -191,11 +190,6 @@ func RunAdversary(ctx context.Context, cfg AdversaryConfig) (*BenchReport, error
 		return nil, err
 	}
 
-	lat, err := measureLatency(ctx, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("bench: latency trajectory: %w", err)
-	}
-
 	return &BenchReport{
 		Schema:         BenchSchema,
 		RunID:          cfg.RunID,
@@ -206,7 +200,6 @@ func RunAdversary(ctx context.Context, cfg AdversaryConfig) (*BenchReport, error
 		Distinguishers: adversary.Evaluate(plain, obf, cfg.Window),
 		Mutation:       mut,
 		Covert:         covert,
-		Latency:        lat,
 		Shaping:        shaping,
 	}, nil
 }
@@ -332,21 +325,6 @@ func (r *BenchReport) validateAdversary() error {
 			return fmt.Errorf("bench: shaping pad overhead %.3f negative — shaped captures cannot shrink the wire", r.Shaping.PadOverhead)
 		}
 	}
-	if l := r.Latency; l != nil {
-		for _, q := range []struct {
-			name string
-			LatencyQuantiles
-		}{
-			{"compile", l.Compile},
-			{"epoch_boundary", l.EpochBoundary},
-			{"rekey_rtt", l.RekeyRTT},
-			{"resume_rtt", l.ResumeRTT},
-		} {
-			if q.Count == 0 || q.P99Ns < q.P50Ns {
-				return fmt.Errorf("bench: latency %s malformed: %+v", q.name, q.LatencyQuantiles)
-			}
-		}
-	}
 	return nil
 }
 
@@ -400,21 +378,6 @@ func (r *BenchReport) Table() string {
 	for _, c := range r.Covert {
 		fmt.Fprintf(&sb, "covert capacity perNode=%d: %.2f bits/msg (ceiling %.2f over %d epochs, %d distinct encodings)\n",
 			c.PerNode, c.Bits, c.MaxBits, c.Epochs, c.Distinct)
-	}
-	if l := r.Latency; l != nil {
-		fmt.Fprintf(&sb, "latency (p50/p95/p99 ns, log2-bucket upper bounds):\n")
-		for _, q := range []struct {
-			name string
-			LatencyQuantiles
-		}{
-			{"compile (demand)", l.Compile},
-			{"epoch boundary", l.EpochBoundary},
-			{"rekey rtt", l.RekeyRTT},
-			{"resume rtt", l.ResumeRTT},
-		} {
-			fmt.Fprintf(&sb, "  %-16s %d / %d / %d (%d observations)\n",
-				q.name, q.P50Ns, q.P95Ns, q.P99Ns, q.Count)
-		}
 	}
 	return sb.String()
 }

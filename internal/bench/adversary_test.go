@@ -56,7 +56,7 @@ func TestRunAdversary(t *testing.T) {
 		t.Errorf("covert estimate empty: %+v", rep.Covert[1])
 	}
 	table := rep.Table()
-	for _, want := range []string{"ADVERSARY", "mutation campaign", "covert capacity", "epoch boundary"} {
+	for _, want := range []string{"ADVERSARY", "mutation campaign", "covert capacity"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table lacks %q:\n%s", want, table)
 		}

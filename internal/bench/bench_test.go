@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -301,49 +300,5 @@ func TestCalibrate(t *testing.T) {
 	}
 	if !strings.Contains(res.Table(), "CALIBRATION") {
 		t.Error("calibration table malformed")
-	}
-}
-
-func TestRunEndpointWorkload(t *testing.T) {
-	res, err := RunEndpoint(context.Background(), EndpointConfig{
-		Sessions:     6,
-		Epochs:       4,
-		MsgsPerEpoch: 5,
-		RekeyEvery:   2,
-		PerNode:      1,
-		Seed:         3,
-		Window:       16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 6 * 4 * 5; res.Msgs != want {
-		t.Errorf("round trips = %d, want %d", res.Msgs, want)
-	}
-	// Per-session views rekey independently: with RekeyEvery=2 over 4
-	// epochs every pair proposes at least once.
-	if res.Rekeys == 0 {
-		t.Error("no rekeys proposed despite RekeyEvery")
-	}
-	// The shared caches stay within the configured strict bound.
-	if res.CacheSrv > 16 || res.CacheCli > 16 {
-		t.Errorf("shared caches exceed window: server=%d client=%d", res.CacheSrv, res.CacheCli)
-	}
-	if got := res.Table(); !strings.Contains(got, "concurrent sessions 6") {
-		t.Errorf("table lacks session count:\n%s", got)
-	}
-}
-
-// TestRunEndpointSingleMutexGeometry pins the comparison knob: shards=1
-// must behave identically (one lock), just slower under contention.
-func TestRunEndpointSingleMutexGeometry(t *testing.T) {
-	res, err := RunEndpoint(context.Background(), EndpointConfig{
-		Sessions: 4, Epochs: 2, MsgsPerEpoch: 3, PerNode: 1, Seed: 3, Shards: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 4 * 2 * 3; res.Msgs != want {
-		t.Errorf("round trips = %d, want %d", res.Msgs, want)
 	}
 }

@@ -15,8 +15,25 @@ import (
 	"time"
 
 	"protoobf"
+	"protoobf/internal/msgtree"
 	"protoobf/internal/session"
 )
+
+// sessionSpec is the message format of the gateway workload: small
+// telemetry-style messages, the shape the session hot path is
+// optimized for.
+const sessionSpec = `
+protocol telemetry;
+root seq msg end {
+    uint  device 2;
+    uint  seqno 4;
+    uint  blen 2;
+    seq body length(blen) {
+        bytes status delim ";" min 1;
+    }
+    bytes sig end;
+}
+`
 
 // GatewayConfig parameterizes the multi-process gateway workload: N
 // concurrent client sessions dial through a routing gateway into a
@@ -406,6 +423,29 @@ func runGatewayPhase(ctx context.Context, cfg GatewayConfig, dir string, probeRe
 		return nil, fmt.Errorf("only %d of %d backends reported metrics", len(ph.backends), cfg.Backends)
 	}
 	return ph, nil
+}
+
+// buildTelemetry composes one telemetry message under c's current
+// dialect.
+func buildTelemetry(c *session.Conn, device, seqno uint64, status string) (*msgtree.Message, error) {
+	m, err := c.NewMessage()
+	if err != nil {
+		return nil, err
+	}
+	s := m.Scope()
+	if err := s.SetUint("device", device); err != nil {
+		return nil, err
+	}
+	if err := s.SetUint("seqno", seqno); err != nil {
+		return nil, err
+	}
+	if err := s.SetString("status", status); err != nil {
+		return nil, err
+	}
+	if err := s.SetBytes("sig", nil); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // gatewayTrip is one round trip through the gateway: send a request,

@@ -27,7 +27,7 @@ var obsReg = struct {
 }{entries: map[string]*protoobf.Endpoint{}}
 
 // publishObs registers ep on the -obs surface under a role name (for
-// example "endpoint-srv"). The returned func unpublishes it; a second
+// example "gateway-cli"). The returned func unpublishes it; a second
 // publish under the same name replaces the first.
 func publishObs(name string, ep *protoobf.Endpoint) func() {
 	obsReg.mu.Lock()

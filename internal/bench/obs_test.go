@@ -53,18 +53,6 @@ func TestObsFleetPage(t *testing.T) {
 	}
 	defer ln.Close()
 
-	eres, err := RunEndpoint(context.Background(), EndpointConfig{
-		Sessions: 2, Epochs: 2, MsgsPerEpoch: 2, PerNode: 1, Seed: 21,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eres.Msgs == 0 {
-		t.Fatal("endpoint workload moved no messages")
-	}
-
-	// The workload unpublished its endpoints on return; republish one
-	// so the scrape sees a labeled sample.
 	unpublish := publishObs("endpoint-srv", mustEndpoint(t))
 	defer unpublish()
 

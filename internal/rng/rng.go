@@ -14,6 +14,9 @@
 //     its parent and runs a SplitMix64 child that is cheap to create.
 //     Nothing pins its outputs byte for byte; only the one-draw rule is
 //     pinned, so what the parent yields afterwards does not change.
+//     In a live session the parent is the message rng of
+//     session.EpochCore, which Init seeds from crypto/rand: sessions of
+//     one family share the dialect, not the bytes of its messages.
 package rng
 
 import (

@@ -1,6 +1,8 @@
 package session
 
 import (
+	crand "crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -65,11 +67,22 @@ func (e *EpochCore) Init(name string, versions Versioner, epoch *atomic.Uint64, 
 		tr:       opts.Trace,
 		traceID:  opts.TraceID,
 		byGraph:  make(map[*graph.Graph]uint64),
-		mrng:     rng.New(0x5e5510),
+		mrng:     rng.New(messageSeed()),
 	}
 	// The eviction hook keeps the reverse index in step with the window;
 	// it runs under e.mu (all cache mutation does).
 	e.dialects = lru.New[uint64, *graph.Graph](window, e.unindex)
+}
+
+// messageSeed draws the seed of a core's message rng from crypto/rand,
+// so sessions of one family do not repeat each other's representations
+// of a message. Only the dialect (the compile stream) is shared.
+func messageSeed() int64 {
+	var b [8]byte
+	if _, err := crand.Read(b[:]); err != nil {
+		panic("session: crypto/rand: " + err.Error())
+	}
+	return int64(binary.LittleEndian.Uint64(b[:]))
 }
 
 // unindex removes g from the reverse index if it still maps to epoch.

@@ -263,6 +263,12 @@ func TestPrefetchEliminatesBoundaryCompiles(t *testing.T) {
 		if demand := m.Rotation.DemandCompiles() - base.Rotation.DemandCompiles(); demand != epochs {
 			t.Fatalf("demand compiles without prefetch = %d, want %d (one per boundary)", demand, epochs)
 		}
+		// Every boundary's demand compile is timed into the runtime
+		// histogram. (The base counts the constructor's untimed epoch-0
+		// compile, so compare the deltas.)
+		if timed := m.Rotation.DemandCompileNanos.Count - base.Rotation.DemandCompileNanos.Count; timed != epochs {
+			t.Fatalf("DemandCompileNanos observed %d compiles across %d boundaries, want %d", timed, epochs, epochs)
+		}
 	})
 }
 
