@@ -266,18 +266,14 @@ func NewEndpoint(spec string, opts Options, o ...EndpointOption) (*Endpoint, err
 		fn(&ep.base)
 	}
 	if ep.base.static == nil {
-		var rot *core.Rotation
-		var err error
+		var store *artifact.Store
 		if dir := ep.base.artifactDir; dir != "" {
-			var store *artifact.Store
-			store, err = artifact.NewStore(dir)
-			if err != nil {
+			var err error
+			if store, err = artifact.NewStore(dir); err != nil {
 				return nil, fmt.Errorf("protoobf: artifact cache: %w", err)
 			}
-			rot, err = core.NewRotationStore(spec, opts, ep.base.versionWindow, ep.base.versionShards, store)
-		} else {
-			rot, err = core.NewRotationCache(spec, opts, ep.base.versionWindow, ep.base.versionShards)
 		}
+		rot, err := core.NewRotationCache(spec, opts, ep.base.versionWindow, ep.base.versionShards, store)
 		if err != nil {
 			return nil, err
 		}

@@ -136,7 +136,7 @@ func Encode(a *Artifact) ([]byte, error) {
 }
 
 // Decode parses an encoded artifact and reconstructs its graph with
-// parent links and ID state rebuilt.
+// parent links and ID state rebuilt. The graph must pass graph.Validate.
 func Decode(data []byte) (*Artifact, error) {
 	if len(data) > maxEncodedLen {
 		return nil, corrupt("input %d bytes exceeds %d cap", len(data), maxEncodedLen)
@@ -196,6 +196,12 @@ func Decode(data []byte) (*Artifact, error) {
 	// and the ID high-water mark.
 	g := &graph.Graph{ProtocolName: name, Root: root}
 	g.Rebuild()
+	// A well-formed encoding can still describe a graph the serializer
+	// and parser cannot run (a repetition without its item, a dangling
+	// reference): the store is shared, so such a blob is corrupt.
+	if err := g.Validate(); err != nil {
+		return nil, corrupt("%v", err)
+	}
 	a.Graph = g
 	return a, nil
 }

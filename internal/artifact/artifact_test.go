@@ -2,6 +2,7 @@ package artifact_test
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -143,6 +144,23 @@ func TestDecodeRebuildsParents(t *testing.T) {
 		}
 	}
 	walk(got.Graph.Root)
+}
+
+// A blob can be well-formed and still hold a graph that Validate
+// rejects. Here a repetition has no item node: decoding it must fail as
+// corrupt, or the parser dereferences the missing item.
+func TestDecodeRejectsInvalidGraph(t *testing.T) {
+	g := graph.New("broken", &graph.Node{
+		Name: "msg", Kind: graph.Sequence, Boundary: graph.Boundary{Kind: graph.Delegated},
+		Children: []*graph.Node{{Name: "items", Kind: graph.Repetition, Boundary: graph.Boundary{Kind: graph.End}}},
+	})
+	enc, err := artifact.Encode(&artifact.Artifact{Graph: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := artifact.Decode(enc); !errors.Is(err, artifact.ErrCorrupt) {
+		t.Fatalf("decode of an invalid graph: err = %v, want ErrCorrupt", err)
+	}
 }
 
 func TestDecodeRejectsTruncation(t *testing.T) {

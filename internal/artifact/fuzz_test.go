@@ -5,13 +5,15 @@ import (
 	"testing"
 
 	"protoobf/internal/artifact"
+	"protoobf/internal/wire"
 )
 
 // FuzzArtifactDecode throws arbitrary bytes at the artifact decoder —
 // the one parser in the system that reads attacker-reachable disk
 // state (a shared cache directory). Properties: never panic, never
-// accept trailing or truncated input silently, and accepted inputs
-// must re-encode byte-identically (the format is canonical).
+// accept trailing or truncated input silently, accepted inputs must
+// re-encode byte-identically (the format is canonical), and the parser
+// must run on every accepted graph without a panic.
 func FuzzArtifactDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x64, 0x69, 0x61, 0x31})       // magic only
@@ -43,5 +45,7 @@ func FuzzArtifactDecode(f *testing.F) {
 		if !bytes.Equal(enc, data) {
 			t.Fatalf("re-encode differs from accepted input (%d vs %d bytes)", len(enc), len(data))
 		}
+		// Any bytes will do as a message: only a panic fails.
+		_, _ = wire.Parse(a.Graph, data, nil)
 	})
 }

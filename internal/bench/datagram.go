@@ -70,8 +70,6 @@ type DatagramLeg struct {
 	DataOverheadBytes uint64 `json:"data_overhead_bytes"`
 	// Rejects breaks down the receiver's counted drops by reason.
 	Rejects map[string]uint64 `json:"rejects,omitempty"`
-	// MsgsPerSec is the leg's send-plus-drain throughput.
-	MsgsPerSec float64 `json:"msgs_per_sec"`
 }
 
 // DeliveredPct is the fraction of sent data packets that decoded, in
@@ -300,7 +298,7 @@ func drainDgram(c *dgram.Conn) (decoded, crashes int) {
 }
 
 // legFromStats folds the sender's and receiver's counters into a leg.
-func legFromStats(transport string, zo bool, sa, sb metrics.DgramStats, decoded, crashes int, elapsed time.Duration) DatagramLeg {
+func legFromStats(transport string, zo bool, sa, sb metrics.DgramStats, decoded, crashes int) DatagramLeg {
 	leg := DatagramLeg{
 		Transport:         transport,
 		ZeroOverhead:      zo,
@@ -322,9 +320,6 @@ func legFromStats(transport string, zo bool, sa, sb metrics.DgramStats, decoded,
 				leg.Rejects[reason] = n
 			}
 		}
-	}
-	if elapsed > 0 && leg.Sent > 0 {
-		leg.MsgsPerSec = float64(leg.Sent) / elapsed.Seconds()
 	}
 	return leg
 }
@@ -355,7 +350,6 @@ func runDatagramLossyLeg(ctx context.Context, cfg DatagramConfig, zo bool) (Data
 	defer b.Release()
 
 	r := rng.New(cfg.Seed + 3)
-	start := time.Now()
 	for i := 0; i < cfg.Msgs; i++ {
 		if i > 0 && i%cfg.RekeyEvery == 0 {
 			if _, err := a.Rekey(cfg.Seed + int64(i)); err != nil {
@@ -378,7 +372,7 @@ func runDatagramLossyLeg(ctx context.Context, cfg DatagramConfig, zo bool) (Data
 	}
 	lossy.Close()
 	decoded, crashes := drainDgram(b)
-	leg = legFromStats("lossy-pipe", zo, sa.Snapshot(), sb.Snapshot(), decoded, crashes, time.Since(start))
+	leg = legFromStats("lossy-pipe", zo, sa.Snapshot(), sb.Snapshot(), decoded, crashes)
 	leg.Dropped, leg.Duped, leg.Reordered = lossy.Dropped, lossy.Duped, lossy.Reordered
 	if leg.Decoded == 0 {
 		return leg, fmt.Errorf("lossy leg decoded nothing of %d sent", leg.Sent)
@@ -411,7 +405,6 @@ func runDatagramBatchLeg(ctx context.Context, cfg DatagramConfig, zo bool) (Data
 	const batch = 32
 	r := rng.New(cfg.Seed + 5)
 	msgs := cfg.Msgs
-	start := time.Now()
 	decoded, crashes := 0, 0
 	for sent := 0; sent < msgs; {
 		n := batch
@@ -454,7 +447,7 @@ func runDatagramBatchLeg(ctx context.Context, cfg DatagramConfig, zo bool) (Data
 			return leg, err
 		}
 	}
-	leg = legFromStats("pipe-batch", zo, sa.Snapshot(), sb.Snapshot(), decoded, crashes, time.Since(start))
+	leg = legFromStats("pipe-batch", zo, sa.Snapshot(), sb.Snapshot(), decoded, crashes)
 	if leg.Decoded != leg.Sent {
 		return leg, fmt.Errorf("batch leg lost packets on a clean pair: %d of %d decoded", leg.Decoded, leg.Sent)
 	}
@@ -499,7 +492,6 @@ func runDatagramUDPLeg(ctx context.Context, cfg DatagramConfig, zo bool) (Datagr
 	defer watchdog.Stop()
 
 	r := rng.New(cfg.Seed + 9)
-	start := time.Now()
 	decoded, crashes := 0, 0
 	var server *protoobf.PacketSession
 	for i := 0; i < msgs; i++ {
@@ -529,7 +521,7 @@ func runDatagramUDPLeg(ctx context.Context, cfg DatagramConfig, zo bool) (Datagr
 			}
 		}
 	}
-	leg = legFromStats("udp", zo, epA.Metrics().Dgram, epB.Metrics().Dgram, decoded, crashes, time.Since(start))
+	leg = legFromStats("udp", zo, epA.Metrics().Dgram, epB.Metrics().Dgram, decoded, crashes)
 	if leg.Decoded == 0 {
 		return leg, fmt.Errorf("udp leg decoded nothing of %d sent", leg.Sent)
 	}
@@ -562,7 +554,7 @@ func (r *DatagramResult) Table() string {
 		if len(l.Rejects) > 0 {
 			fmt.Fprintf(&sb, " rejects %v", l.Rejects)
 		}
-		fmt.Fprintf(&sb, " %.0f msgs/s\n", l.MsgsPerSec)
+		sb.WriteString("\n")
 	}
 	sb.WriteString("distinguishers over packet captures (held-out balanced accuracy; 0.5 = chance):\n")
 	for i := range rep.Distinguishers {

@@ -98,8 +98,6 @@ type GatewayReport struct {
 	// backend than the previous cycle.
 	Resumes    uint64 `json:"resumes"`
 	CrossMoves uint64 `json:"cross_moves"`
-	// MsgsPerSec is round-trip throughput over both phases.
-	MsgsPerSec float64 `json:"msgs_per_sec"`
 	// MigrateAvgMs is the average reconnect-to-first-answer time of a
 	// through-the-gateway migration, in milliseconds.
 	MigrateAvgMs float64 `json:"migrate_avg_ms"`
@@ -121,9 +119,8 @@ type GatewayReport struct {
 
 // GatewayResult is the measured outcome of one gateway workload run.
 type GatewayResult struct {
-	Config  GatewayConfig
-	Report  GatewayReport
-	Elapsed time.Duration
+	Config GatewayConfig
+	Report GatewayReport
 	// Cold and Warm are the per-backend metric slices of each phase;
 	// GwStats the warm phase's gateway counters.
 	Cold, Warm []BackendMetrics
@@ -175,7 +172,6 @@ func RunGateway(ctx context.Context, cfg GatewayConfig) (*GatewayResult, error) 
 		dir = tmp
 	}
 
-	start := time.Now()
 	cold, err := runGatewayPhase(ctx, cfg, dir, false)
 	if err != nil {
 		return nil, fmt.Errorf("bench: gateway cold phase: %w", err)
@@ -184,11 +180,9 @@ func RunGateway(ctx context.Context, cfg GatewayConfig) (*GatewayResult, error) 
 	if err != nil {
 		return nil, fmt.Errorf("bench: gateway warm phase: %w", err)
 	}
-	elapsed := time.Since(start)
 
 	res := &GatewayResult{
 		Config:  cfg,
-		Elapsed: elapsed,
 		Cold:    cold.backends,
 		Warm:    warm.backends,
 		GwStats: warm.gw,
@@ -200,9 +194,6 @@ func RunGateway(ctx context.Context, cfg GatewayConfig) (*GatewayResult, error) 
 	rep.CrossProcess = !cfg.InProc
 	rep.Resumes = cold.resumes + warm.resumes
 	rep.CrossMoves = cold.crossMoves + warm.crossMoves
-	if s := elapsed.Seconds(); s > 0 {
-		rep.MsgsPerSec = float64(cold.msgs+warm.msgs) / s
-	}
 	if rep.Resumes > 0 {
 		rep.MigrateAvgMs = (cold.migrateTotal + warm.migrateTotal).Seconds() * 1e3 / float64(rep.Resumes)
 	}
@@ -221,7 +212,7 @@ func RunGateway(ctx context.Context, cfg GatewayConfig) (*GatewayResult, error) 
 
 // gatewayPhase is what one phase of the workload measures.
 type gatewayPhase struct {
-	msgs, resumes, crossMoves    uint64
+	resumes, crossMoves          uint64
 	migrateTotal                 time.Duration
 	backends                     []BackendMetrics
 	gw                           protoobf.GatewayStats
@@ -315,7 +306,7 @@ func runGatewayPhase(ctx context.Context, cfg GatewayConfig, dir string, probeRe
 				}
 				defer func() { sess.Close() }()
 				seq := uint64(i) * 1_000_000
-				var msgs, resumes, crossMoves uint64
+				var resumes, crossMoves uint64
 				var migrate time.Duration
 				lastTag := uint64(0)
 				for c := 0; c < cfg.Cycles; c++ {
@@ -332,7 +323,6 @@ func runGatewayPhase(ctx context.Context, cfg GatewayConfig, dir string, probeRe
 						}
 						lastTag = tag
 						seq++
-						msgs++
 					}
 					// Prefer the ticket the backend re-issued after the
 					// rekey; fall back to a local export.
@@ -356,7 +346,6 @@ func runGatewayPhase(ctx context.Context, cfg GatewayConfig, dir string, probeRe
 					}
 					migrate += time.Since(t0)
 					seq++
-					msgs++
 					resumes++
 					if tag != lastTag {
 						crossMoves++
@@ -368,7 +357,6 @@ func runGatewayPhase(ctx context.Context, cfg GatewayConfig, dir string, probeRe
 					sess = next
 				}
 				mu.Lock()
-				ph.msgs += msgs
 				ph.resumes += resumes
 				ph.crossMoves += crossMoves
 				ph.migrateTotal += migrate
@@ -691,7 +679,6 @@ func (r *GatewayResult) Table() string {
 	fmt.Fprintf(&sb, "  sessions             %d per phase, %d migrate cycles each\n", rep.Sessions, rep.Cycles)
 	fmt.Fprintf(&sb, "  resumes              %d through the gateway (%d landed on a different backend)\n",
 		rep.Resumes, rep.CrossMoves)
-	fmt.Fprintf(&sb, "  throughput           %.0f msgs/s over %v (both phases)\n", rep.MsgsPerSec, r.Elapsed.Round(time.Millisecond))
 	fmt.Fprintf(&sb, "  migration latency    %.2f ms avg (reconnect to first answered trip)\n", rep.MigrateAvgMs)
 	fmt.Fprintf(&sb, "  demand compiles      cold=%d warm=%d (warm fleet loaded %d dialects from the artifact cache)\n",
 		rep.ColdDemandCompiles, rep.WarmDemandCompiles, rep.WarmArtifactLoads)

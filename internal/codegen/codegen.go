@@ -125,30 +125,6 @@ func maskExpr(width int) string {
 // isBytesNode reports whether the node's user value is []byte.
 func isBytesNode(n *graph.Node) bool { return n.Enc == graph.EncBytes }
 
-// valueBearing mirrors transform.valueBearing.
-func valueBearing(n *graph.Node) bool {
-	if n.Kind != graph.Terminal && n.Comb == nil {
-		return false
-	}
-	switch n.Origin.Role {
-	case graph.RoleWhole, graph.RoleLengthOf, graph.RoleSplitLeft, graph.RoleSplitRight:
-		return true
-	default:
-		return false
-	}
-}
-
-func opWidth(n *graph.Node) int {
-	switch {
-	case n.Comb != nil:
-		return n.Comb.Width
-	case n.Enc == graph.EncUint:
-		return n.Boundary.Size
-	default:
-		return 8
-	}
-}
-
 func (gen *generator) collectRefs() {
 	gen.refNames = map[string]bool{}
 	gen.guardUint = map[string]bool{}
@@ -188,7 +164,7 @@ func (gen *generator) run() (string, error) {
 		gen.ctorFor(n)
 	}
 	for _, n := range nodes {
-		if valueBearing(n) {
+		if n.ValueBearing() {
 			if err := gen.setterFor(n); err != nil {
 				return "", err
 			}
@@ -329,7 +305,7 @@ func (gen *generator) ctorFor(n *graph.Node) {
 // opsEncode emits statements transforming variable v (uint64 or []byte)
 // in the encode direction for node n.
 func (gen *generator) opsEncode(n *graph.Node, v string) {
-	w := opWidth(n)
+	w := n.OpWidth()
 	for _, op := range n.Ops {
 		switch op.Kind {
 		case graph.OpAdd:
@@ -350,7 +326,7 @@ func (gen *generator) opsEncode(n *graph.Node, v string) {
 
 // opsDecode emits the inverse pipeline (reverse order).
 func (gen *generator) opsDecode(n *graph.Node, v string) {
-	w := opWidth(n)
+	w := n.OpWidth()
 	for i := len(n.Ops) - 1; i >= 0; i-- {
 		op := n.Ops[i]
 		switch op.Kind {
@@ -421,7 +397,7 @@ func (gen *generator) setterFor(n *graph.Node) error {
 	// Integer-valued node (EncUint or EncASCII).
 	gen.p("// setval%s stores field %q (integer).\nfunc setval%s(x *N%s, v uint64) error {\n", id, n.Origin.Name, id, id)
 	// Overflow detection must precede the (masking) value pipeline.
-	if w := opWidth(n); n.Enc == graph.EncUint && w < 8 {
+	if w := n.OpWidth(); n.Enc == graph.EncUint && w < 8 {
 		gen.p("\tif v > 0x%x {\n\t\treturn fmt.Errorf(\"field %s: %%d overflows %d bytes\", v)\n\t}\n", (uint64(1)<<(8*w))-1, n.Origin.Name, w)
 	}
 	gen.opsEncode(n, "v")
@@ -887,7 +863,7 @@ func (gen *generator) parseSequenceBody(n *graph.Node) {
 	}
 	// A combine sequence carries the value of a split original field:
 	// record it for later boundary references and presence predicates.
-	if valueBearing(n) {
+	if n.ValueBearing() {
 		gen.refStore(n, "x")
 	}
 	gen.p("\treturn x, pos, nil\n}\n\n")
@@ -999,7 +975,7 @@ func Parse(data []byte) (*Message, error) {
 func (gen *generator) userFields() []*graph.Node {
 	var out []*graph.Node
 	gen.g.Walk(func(n *graph.Node) bool {
-		if valueBearing(n) && n.Origin.Role == graph.RoleWhole && !n.AutoFill {
+		if n.ValueBearing() && n.Origin.Role == graph.RoleWhole && !n.AutoFill {
 			out = append(out, n)
 			return false // do not descend into split parts
 		}

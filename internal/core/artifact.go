@@ -1,72 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"protoobf/internal/artifact"
-	"protoobf/internal/lru"
 	"protoobf/internal/rng"
-	"protoobf/internal/spec"
 )
-
-// NewRotationStore is NewRotationCache backed by a serialized-artifact
-// store: versions present in the store are restored instead of
-// compiled, and versions this process compiles are persisted for the
-// rest of the fleet. A nil store degrades to NewRotationCache. The
-// store is consulted inside the compile singleflight, so an epoch storm
-// costs one disk load, not one per session.
-//
-// Restored versions are interoperable with compiled ones by
-// construction: the transformed graph (the part both peers must agree
-// on byte-for-byte) travels in the artifact, while the per-dialect RNG
-// is re-derived from the version seed. The RNG only feeds pad bytes and
-// random split halves, which every parser skips, so a restored sender
-// and a compiled receiver (or vice versa) always understand each other.
-func NewRotationStore(source string, opts ObfuscationOptions, window, shards int, store *artifact.Store) (*Rotation, error) {
-	if store == nil {
-		return NewRotationCache(source, opts, window, shards)
-	}
-	if window == 0 {
-		window = DefaultVersionWindow
-	} else if window < 0 {
-		window = 0 // lru: unbounded
-	}
-	// Parse once up front: configuration errors surface here even when
-	// every version loads from the store, and the parsed graph doubles
-	// as the shared Original of restored Protocols.
-	orig, err := spec.Parse(source)
-	if err != nil {
-		return nil, fmt.Errorf("rotation: %w", err)
-	}
-	r := &Rotation{
-		source: source,
-		opts:   opts,
-		cache: lru.NewSharded[versionKey, *Protocol](shards, window, func(k versionKey) uint64 {
-			return lru.Mix64(uint64(k.family) ^ lru.Mix64(k.epoch+1))
-		}, nil),
-		art:       store,
-		artDigest: artifact.SpecDigest(source, opts.PerNode, opts.Only, opts.Exclude),
-		orig:      orig,
-	}
-	r.self.rot = r
-	// Epoch-0 probe, like NewRotationCache — but a warm store turns the
-	// cold-start compile into a load.
-	k := versionKey{family: opts.Seed, epoch: 0}
-	if p, ok := r.loadArtifact(k); ok {
-		r.cache.Put(k, p)
-		return r, nil
-	}
-	probe := opts
-	probe.Seed = deriveSeed(opts.Seed, 0)
-	p, err := Compile(source, probe)
-	if err != nil {
-		return nil, fmt.Errorf("rotation: %w", err)
-	}
-	r.stats.Compiles.Add(1)
-	r.cache.Put(k, p)
-	r.saveArtifact(k, p)
-	return r, nil
-}
 
 // loadArtifact tries to restore (family, epoch) from the artifact
 // store. Store errors (corrupt file, key mismatch, I/O) are counted and

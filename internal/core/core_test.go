@@ -57,6 +57,33 @@ func TestCompileAndRoundTrip(t *testing.T) {
 	}
 }
 
+// Parsing follows the graph's parent pointers, and generating source
+// validates the graph, so one dialect may do both at once only if
+// Validate leaves current pointers unwritten (checked under -race).
+func TestGenerateSourceWhileParsing(t *testing.T) {
+	p, err := Compile(demoSource, ObfuscationOptions{PerNode: 2, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := p.Serialize(build(t, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.GenerateSource("demo")
+		done <- err
+	}()
+	for i := 0; i < 50; i++ {
+		if _, err := p.Parse(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCompileBadSpec(t *testing.T) {
 	if _, err := Compile("protocol x;", ObfuscationOptions{}); err == nil {
 		t.Error("bad spec accepted")

@@ -11,6 +11,7 @@ import (
 	"protoobf/internal/graph"
 	"protoobf/internal/lru"
 	"protoobf/internal/metrics"
+	"protoobf/internal/spec"
 )
 
 // DefaultVersionWindow bounds how many compiled protocol versions a
@@ -54,7 +55,7 @@ type Rotation struct {
 	// art, when non-nil, is the serialized-artifact store behind the
 	// compiled-version cache: misses try a store load before compiling,
 	// and fresh compiles are persisted for other processes (see
-	// NewRotationStore). artDigest keys this rotation's artifacts;
+	// NewRotationCache). artDigest keys this rotation's artifacts;
 	// orig is the once-parsed plain graph restored Protocols share.
 	art       *artifact.Store
 	artDigest [32]byte
@@ -144,26 +145,34 @@ type rekeyPoint struct {
 // the initial master seed; opts.PerNode/Only/Exclude apply to every
 // version.
 func NewRotation(source string, opts ObfuscationOptions) (*Rotation, error) {
-	return NewRotationCache(source, opts, 0, 0)
+	return NewRotationCache(source, opts, 0, 0, nil)
 }
 
 // NewRotationCache is NewRotation with an explicit compiled-version
-// cache geometry: window bounds the total number of cached versions
-// (0 means DefaultVersionWindow, negative means unbounded) and shards
-// picks the lock-shard count (0 means lru.DefaultShards; 1 degenerates
-// to a single-mutex cache, the pre-sharding behavior).
-func NewRotationCache(source string, opts ObfuscationOptions, window, shards int) (*Rotation, error) {
+// cache geometry and an optional artifact store behind the cache. window
+// bounds the total number of cached versions (0 means
+// DefaultVersionWindow, negative means unbounded) and shards picks the
+// lock-shard count (0 means lru.DefaultShards; 1 degenerates to a
+// single-mutex cache, the pre-sharding behavior).
+//
+// With a non-nil store, versions present in the store are restored
+// instead of compiled, and versions this process compiles are persisted
+// for the rest of the fleet. The store is consulted inside the compile
+// singleflight, so an epoch storm costs one disk load, not one per
+// session. Restored versions are interoperable with compiled ones by
+// construction: the transformed graph (the part both peers must agree
+// on byte-for-byte) travels in the artifact, while the per-dialect RNG
+// is re-derived from the version seed. The RNG only feeds pad bytes and
+// random split halves, which every parser skips, so a restored sender
+// and a compiled receiver (or vice versa) always understand each other.
+//
+// Epoch 0 is loaded or compiled eagerly, so configuration errors surface
+// here; its compile is a demand compile, counted and timed as one.
+func NewRotationCache(source string, opts ObfuscationOptions, window, shards int, store *artifact.Store) (*Rotation, error) {
 	if window == 0 {
 		window = DefaultVersionWindow
 	} else if window < 0 {
 		window = 0 // lru: unbounded
-	}
-	// Compile epoch 0 eagerly so configuration errors surface here.
-	probe := opts
-	probe.Seed = deriveSeed(opts.Seed, 0)
-	p, err := Compile(source, probe)
-	if err != nil {
-		return nil, fmt.Errorf("rotation: %w", err)
 	}
 	r := &Rotation{
 		source: source,
@@ -171,10 +180,38 @@ func NewRotationCache(source string, opts ObfuscationOptions, window, shards int
 		cache: lru.NewSharded[versionKey, *Protocol](shards, window, func(k versionKey) uint64 {
 			return lru.Mix64(uint64(k.family) ^ lru.Mix64(k.epoch+1))
 		}, nil),
+		art: store,
 	}
 	r.self.rot = r
-	r.stats.Compiles.Add(1) // the eager epoch-0 probe above
-	r.cache.Put(versionKey{family: opts.Seed, epoch: 0}, p)
+	k := versionKey{family: opts.Seed, epoch: 0}
+	if store != nil {
+		// Parse once up front: configuration errors surface even when
+		// every version loads from the store, and the parsed graph
+		// doubles as the shared Original of restored Protocols.
+		orig, err := spec.Parse(source)
+		if err != nil {
+			return nil, fmt.Errorf("rotation: %w", err)
+		}
+		r.orig = orig
+		r.artDigest = artifact.SpecDigest(source, opts.PerNode, opts.Only, opts.Exclude)
+		if p, ok := r.loadArtifact(k); ok {
+			r.cache.Put(k, p)
+			return r, nil
+		}
+	}
+	probe := opts
+	probe.Seed = deriveSeed(opts.Seed, 0)
+	start := time.Now()
+	p, err := Compile(source, probe)
+	if err != nil {
+		return nil, fmt.Errorf("rotation: %w", err)
+	}
+	r.stats.Compiles.Add(1)
+	r.stats.DemandCompileNanos.ObserveDuration(time.Since(start))
+	r.cache.Put(k, p)
+	if store != nil {
+		r.saveArtifact(k, p)
+	}
 	return r, nil
 }
 

@@ -44,7 +44,7 @@ func TestRotationStoreWarmStart(t *testing.T) {
 	st := newTestStore(t)
 	opts := ObfuscationOptions{PerNode: 2, Seed: 53}
 
-	cold, err := NewRotationStore(storeTestSpec, opts, 0, 0, st)
+	cold, err := NewRotationCache(storeTestSpec, opts, 0, 0, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestRotationStoreWarmStart(t *testing.T) {
 		t.Fatalf("cold stats: compiles=%d saves=%d loads=%d, want 5/5/0", cs.Compiles, cs.ArtifactSaves, cs.ArtifactLoads)
 	}
 
-	warm, err := NewRotationStore(storeTestSpec, opts, 0, 0, st)
+	warm, err := NewRotationCache(storeTestSpec, opts, 0, 0, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +86,11 @@ func TestRestoredVersionWireInterop(t *testing.T) {
 	st := newTestStore(t)
 	opts := ObfuscationOptions{PerNode: 3, Seed: 91}
 
-	cold, err := NewRotationStore(storeTestSpec, opts, 0, 0, st)
+	cold, err := NewRotationCache(storeTestSpec, opts, 0, 0, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := NewRotationStore(storeTestSpec, opts, 0, 0, st)
+	warm, err := NewRotationCache(storeTestSpec, opts, 0, 0, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestRestoredVersionWireInterop(t *testing.T) {
 func TestRotationStoreFallsBackOnCorruptArtifact(t *testing.T) {
 	st := newTestStore(t)
 	opts := ObfuscationOptions{PerNode: 2, Seed: 17}
-	cold, err := NewRotationStore(storeTestSpec, opts, 0, 0, st)
+	cold, err := NewRotationCache(storeTestSpec, opts, 0, 0, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestRotationStoreFallsBackOnCorruptArtifact(t *testing.T) {
 	if err := writeHalf(st.Path(k)); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := NewRotationStore(storeTestSpec, opts, 0, 0, st)
+	warm, err := NewRotationCache(storeTestSpec, opts, 0, 0, st)
 	if err != nil {
 		t.Fatal(err)
 	}

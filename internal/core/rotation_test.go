@@ -306,16 +306,22 @@ func TestVersionForConcurrent(t *testing.T) {
 }
 
 // TestRotationStats pins the compile accounting the observability layer
-// reports: the eager epoch-0 probe counts as one compile, every further
-// epoch's first Version adds one, repeat lookups are pure cache hits,
-// and rekeys/rollbacks on any view are tallied on the shared Rotation.
+// reports: the eager epoch-0 probe counts, and is timed, as one compile;
+// every further epoch's first Version adds one; repeat lookups are pure
+// cache hits; and rekeys/rollbacks on any view are tallied on the shared
+// Rotation.
 func TestRotationStats(t *testing.T) {
 	r, err := NewRotation(rotSpec, ObfuscationOptions{PerNode: 1, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Stats().Compiles; got != 1 {
-		t.Fatalf("compiles after construction = %d, want 1 (the epoch-0 probe)", got)
+	fresh := r.Stats()
+	if fresh.Compiles != 1 {
+		t.Fatalf("compiles after construction = %d, want 1 (the epoch-0 probe)", fresh.Compiles)
+	}
+	// The probe is a demand compile, so it is timed as one.
+	if fresh.DemandCompileNanos.Count != fresh.DemandCompiles() {
+		t.Fatalf("timed demand compiles = %d, counted = %d", fresh.DemandCompileNanos.Count, fresh.DemandCompiles())
 	}
 	for e := uint64(1); e <= 3; e++ {
 		if _, err := r.Version(e); err != nil {

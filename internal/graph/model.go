@@ -388,6 +388,36 @@ type Node struct {
 // IsLeaf reports whether the node is a Terminal.
 func (n *Node) IsLeaf() bool { return n.Kind == Terminal }
 
+// ValueBearing reports whether n carries a terminal value that value
+// transformations may target and accessors read: an original terminal,
+// a combine sequence from an earlier split, a synthetic length field, or
+// one half of a split (splits and constant operations stack recursively:
+// the getters invert them from the inside out).
+func (n *Node) ValueBearing() bool {
+	if n.Kind != Terminal && n.Comb == nil {
+		return false
+	}
+	switch n.Origin.Role {
+	case RoleWhole, RoleLengthOf, RoleSplitLeft, RoleSplitRight:
+		return true
+	default:
+		return false
+	}
+}
+
+// OpWidth returns the modulus width, in bytes, of integer value
+// operations on n.
+func (n *Node) OpWidth() int {
+	switch {
+	case n.Comb != nil:
+		return n.Comb.Width
+	case n.Enc == EncUint:
+		return n.Boundary.Size
+	default:
+		return 8 // EncASCII: full 64-bit arithmetic
+	}
+}
+
 // FindRoleHolder returns the shallowest descendant of n (n excluded)
 // whose Origin.Role is role. The search stops at matches and never enters
 // the items of Repetition/Tabular containers, so it sees through

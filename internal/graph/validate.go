@@ -45,7 +45,9 @@ func (g *Graph) Validate() error {
 	v := validationPool.Get().(*validation)
 	defer v.release()
 
-	g.Root.Parent = nil
+	if g.Root.Parent != nil {
+		g.Root.Parent = nil
+	}
 	last := int32(-1)
 	v.index(g.Root, &last)
 	if len(v.errs) > 0 {
@@ -134,7 +136,11 @@ func (v *validation) index(n *Node, last *int32) {
 		*last = n.pos
 	}
 	for _, c := range n.Children {
-		c.Parent = n
+		// Parent pointers guide message parsing (msgtree), so a graph
+		// in use is validated without writing them when they are current.
+		if c.Parent != n {
+			c.Parent = n
+		}
 		v.index(c, last)
 	}
 	// Leaves of the subtree sit at or after n.pos; earlier ones precede it.

@@ -11,6 +11,7 @@
 package msgtree
 
 import (
+	"bytes"
 	"fmt"
 
 	"protoobf/internal/graph"
@@ -103,39 +104,75 @@ func (v *Value) SetWire(b []byte) {
 }
 
 // FindRef resolves a reference to the original field name from the
-// position of `from` in the instance tree, searching the enclosing scopes
-// from innermost to outermost. It never crosses Repetition/Tabular item
-// boundaries (a reference inside an item resolves within that item or in
-// scopes enclosing the whole repetition, never in sibling items).
+// position of `from` in the instance tree. It climbs the enclosing scopes
+// from innermost to outermost; in the first whose graph subtree holds the
+// name's carrier, it follows the graph path down the instance. Neither
+// step enters Repetition/Tabular items, so a reference inside an item
+// resolves within that item or in scopes enclosing the whole repetition,
+// never in sibling items. The result is nil when no scope holds the
+// carrier or its instance is not built or parsed yet.
 func FindRef(from *Value, name string) *Value {
-	cur := from
-	for cur != nil {
-		if hit := scanScope(cur, name); hit != nil {
-			return hit
-		}
-		p := cur.Parent
-		if p != nil && (p.Node.Kind == graph.Repetition || p.Node.Kind == graph.Tabular) {
-			cur = p.Parent // skip sibling items
-		} else {
-			cur = p
+	var below *graph.Node // the child of cur the climb came from
+	for cur := from; cur != nil; below, cur = cur.Node, cur.Parent {
+		if t := holder(cur.Node, name, true, below); t != nil {
+			return reach(cur, t)
 		}
 	}
 	return nil
 }
 
-func scanScope(v *Value, name string) *Value {
-	n := v.Node
-	if n.Origin.Name == name &&
-		(n.Origin.Role == graph.RoleWhole || n.Origin.Role == graph.RoleLengthOf) &&
-		(n.Kind == graph.Terminal || n.Comb != nil) {
-		return v
+// holder returns the node of n's subtree (n included) that carries the
+// original name: its RoleWhole node or, when refs is set, also a
+// synthetic RoleLengthOf field. This is the carrier graph.Validate checks
+// references against. The walk does not enter Repetition/Tabular items,
+// and it stops at n's child stop: a reference target parses before its
+// dependent (graph.Validate), so it is never in or after the child that
+// encloses the dependent.
+func holder(n *graph.Node, name string, refs bool, stop *graph.Node) *graph.Node {
+	if n.Origin.Name == name && (n.Origin.Role == graph.RoleWhole || refs && n.Origin.Role == graph.RoleLengthOf) {
+		return n
 	}
 	if n.Kind == graph.Repetition || n.Kind == graph.Tabular {
-		return nil // do not look inside items
+		return nil
 	}
-	for _, k := range v.Kids {
-		if hit := scanScope(k, name); hit != nil {
-			return hit
+	for _, c := range n.Children {
+		if c == stop {
+			break
+		}
+		if t := holder(c, name, refs, nil); t != nil {
+			return t
+		}
+	}
+	return nil
+}
+
+// reach returns the instance of graph node t under v by following t's
+// parent chain down from v. It returns nil when t is nil or not under
+// v.Node, and when the path meets a disabled Optional, a Repetition or
+// Tabular item, or a sibling not built or parsed yet.
+func reach(v *Value, t *graph.Node) *Value {
+	if t == nil {
+		return nil
+	}
+	if t == v.Node {
+		return v
+	}
+	p := reach(v, t.Parent)
+	if p == nil {
+		return nil
+	}
+	switch p.Node.Kind {
+	case graph.Sequence:
+		// A parse in progress has built only the children it has
+		// finished; t may not be among them yet.
+		for i, c := range p.Node.Children {
+			if c == t && i < len(p.Kids) {
+				return p.Kids[i]
+			}
+		}
+	case graph.Optional:
+		if p.Present && len(p.Kids) == 1 {
+			return p.Kids[0]
 		}
 	}
 	return nil
@@ -154,105 +191,19 @@ func (m *Message) Scope() *Scope {
 	return &Scope{m: m, roots: []*Value{m.Root}}
 }
 
-// locate finds the unique value-bearing instance node for original field
-// name within the scope, without crossing Repetition/Tabular items.
+// locate finds the instance node of the original field name within the
+// scope, a value or a container, without crossing Repetition/Tabular
+// items.
 func (s *Scope) locate(name string) (*Value, error) {
-	var found *Value
-	var walk func(v *Value) error
-	walk = func(v *Value) error {
-		n := v.Node
-		if n.Origin.Name == name && n.Origin.Role == graph.RoleWhole {
-			if found != nil {
-				return fmt.Errorf("field %q is ambiguous in this scope", name)
-			}
-			found = v
-			return nil
-		}
-		switch n.Kind {
-		case graph.Repetition, graph.Tabular:
-			// Items are addressed through item scopes.
-			return nil
-		case graph.Optional:
-			if !v.Present {
-				// Keep looking elsewhere; if the target is inside
-				// this optional the caller gets a "not found" error
-				// suggesting Enable.
-				return nil
-			}
-		}
-		for _, k := range v.Kids {
-			if err := walk(k); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	for _, r := range s.roots {
-		if err := walk(r); err != nil {
-			return nil, err
+		if v := reach(r, holder(r.Node, name, false, nil)); v != nil {
+			return v, nil
 		}
 	}
-	if found == nil {
-		if s.m.nodeInGraph(name) {
-			return nil, fmt.Errorf("field %q is not reachable in this scope (inside a disabled optional or a repetition item?)", name)
-		}
-		return nil, fmt.Errorf("unknown field %q", name)
+	if s.m.G.FindOriginal(name) != nil {
+		return nil, fmt.Errorf("field %q is not reachable in this scope (inside a disabled optional or a repetition item?)", name)
 	}
-	return found, nil
-}
-
-// locateContainer finds an instance node by original name regardless of
-// its role (used for Optional/Repetition/Tabular containers).
-func (s *Scope) locateContainer(name string) (*Value, error) {
-	var found *Value
-	var walk func(v *Value)
-	walk = func(v *Value) {
-		if found != nil {
-			return
-		}
-		n := v.Node
-		// Only RoleWhole containers match: RoleGroup wrappers (e.g. the
-		// Sequence introduced by BoundaryChange) are transparent and the
-		// search descends into them to find the real container.
-		if n.Origin.Name == name && n.Origin.Role == graph.RoleWhole && n.Kind != graph.Terminal {
-			found = v
-			return
-		}
-		switch n.Kind {
-		case graph.Repetition, graph.Tabular:
-			return
-		case graph.Optional:
-			if !v.Present {
-				return
-			}
-		}
-		for _, k := range v.Kids {
-			walk(k)
-		}
-	}
-	for _, r := range s.roots {
-		walk(r)
-	}
-	if found == nil {
-		return nil, fmt.Errorf("container %q not reachable in this scope", name)
-	}
-	return found, nil
-}
-
-func (m *Message) nodeInGraph(name string) bool {
-	return m.G.FindOriginal(name) != nil
-}
-
-// opWidth returns the modulus width for integer value operations on n.
-func opWidth(n *graph.Node) int {
-	switch {
-	case n.Comb != nil:
-		return n.Comb.Width
-	case n.Enc == graph.EncUint:
-		return n.Boundary.Size
-	default:
-		return 8 // EncASCII: full 64-bit arithmetic
-	}
+	return nil, fmt.Errorf("unknown field %q", name)
 }
 
 // SetNodeValue assigns the user-level value v to the value-bearing
@@ -267,16 +218,16 @@ func (m *Message) SetNodeValue(iv *Value, v graph.Val) error {
 	// every op is a bijection modulo 2^(8*width), so information above
 	// the width is lost silently otherwise.
 	if !v.IsBytes && n.Enc == graph.EncUint {
-		if w := opWidth(n); w < 8 && v.U >= uint64(1)<<(8*w) {
+		if w := n.OpWidth(); w < 8 && v.U >= uint64(1)<<(8*w) {
 			return fmt.Errorf("field %q: value %d overflows %d-byte field", n.Origin.Name, v.U, w)
 		}
 	}
 	if n.Kind == graph.Terminal && n.Enc == graph.EncBytes && n.Boundary.Kind == graph.Delimited && v.IsBytes {
-		if containsSub(v.B, n.Boundary.Delim) {
+		if bytes.Contains(v.B, n.Boundary.Delim) {
 			return fmt.Errorf("field %q: value contains the delimiter %q", n.Origin.Name, n.Boundary.Delim)
 		}
 	}
-	tv, err := graph.ApplyOps(n.Ops, opWidth(n), v)
+	tv, err := graph.ApplyOps(n.Ops, n.OpWidth(), v)
 	if err != nil {
 		return fmt.Errorf("field %q: %w", n.Origin.Name, err)
 	}
@@ -362,71 +313,19 @@ func (m *Message) GetNodeValue(iv *Value) (graph.Val, error) {
 		}
 		tv = v
 	}
-	out, err := graph.InvertOps(n.Ops, opWidth(n), tv)
+	out, err := graph.InvertOps(n.Ops, n.OpWidth(), tv)
 	if err != nil {
 		return graph.Val{}, fmt.Errorf("field %q: %w", n.Origin.Name, err)
 	}
 	return out, nil
 }
 
-// findRoleHolder is the instance-level analog of graph.FindRoleHolder:
-// the shallowest descendant of iv carrying the split role, seen through
-// RoleGroup wrappers (e.g. a BoundaryChange applied to a split half).
-func findRoleHolder(iv *Value, role graph.Role) *Value {
-	var rec func(v *Value) *Value
-	rec = func(v *Value) *Value {
-		if v.Node.Origin.Role == role {
-			return v
-		}
-		// Sealed sub-units: the halves of a nested or foreign split
-		// belong to that split, not to the one being resolved.
-		if v.Node.Origin.Role == graph.RoleSplitLeft || v.Node.Origin.Role == graph.RoleSplitRight ||
-			v.Node.Comb != nil {
-			return nil
-		}
-		if v.Node.Kind == graph.Repetition || v.Node.Kind == graph.Tabular {
-			return nil
-		}
-		for _, k := range v.Kids {
-			if hit := rec(k); hit != nil {
-				return hit
-			}
-		}
-		return nil
-	}
-	for _, k := range iv.Kids {
-		if hit := rec(k); hit != nil {
-			return hit
-		}
-	}
-	return nil
-}
-
 // splitHalves returns the instance nodes holding the left and right
 // halves of a split node, identified by role (position-independent, since
 // ChildMove may have swapped them, and wrapper-transparent).
 func splitHalves(iv *Value) (l, r *Value) {
-	return findRoleHolder(iv, graph.RoleSplitLeft), findRoleHolder(iv, graph.RoleSplitRight)
-}
-
-// containsSub reports whether b contains sub.
-func containsSub(b, sub []byte) bool {
-	if len(sub) == 0 || len(b) < len(sub) {
-		return false
-	}
-	for i := 0; i+len(sub) <= len(b); i++ {
-		match := true
-		for j := range sub {
-			if b[i+j] != sub[j] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return true
-		}
-	}
-	return false
+	return reach(iv, graph.FindRoleHolder(iv.Node, graph.RoleSplitLeft)),
+		reach(iv, graph.FindRoleHolder(iv.Node, graph.RoleSplitRight))
 }
 
 // --- public accessor API -------------------------------------------------
@@ -493,7 +392,7 @@ func (s *Scope) get(name string) (graph.Val, error) {
 // The caller remains responsible for setting the guard field to a value
 // satisfying the presence predicate.
 func (s *Scope) Enable(name string) (*Scope, error) {
-	iv, err := s.locateContainer(name)
+	iv, err := s.locate(name)
 	if err != nil {
 		return nil, err
 	}
@@ -509,7 +408,7 @@ func (s *Scope) Enable(name string) (*Scope, error) {
 
 // Disable removes an Optional subtree.
 func (s *Scope) Disable(name string) error {
-	iv, err := s.locateContainer(name)
+	iv, err := s.locate(name)
 	if err != nil {
 		return err
 	}
@@ -523,7 +422,7 @@ func (s *Scope) Disable(name string) error {
 
 // Present reports whether an Optional subtree is instantiated.
 func (s *Scope) Present(name string) (bool, error) {
-	iv, err := s.locateContainer(name)
+	iv, err := s.locate(name)
 	if err != nil {
 		return false, err
 	}
@@ -537,7 +436,7 @@ func (s *Scope) Present(name string) (bool, error) {
 // When the container was split (TabSplit/RepSplit) the returned scope
 // spans the corresponding item of every half.
 func (s *Scope) Add(name string) (*Scope, error) {
-	iv, err := s.locateContainer(name)
+	iv, err := s.locate(name)
 	if err != nil {
 		return nil, err
 	}
@@ -551,12 +450,12 @@ func (m *Message) addItem(iv *Value) (*Scope, error) {
 		item := m.instantiate(n.Child(), iv)
 		iv.Kids = append(iv.Kids, item)
 		return &Scope{m: m, roots: []*Value{item}}, nil
-	case n.Kind == graph.Sequence && isSplitPair(n):
+	case n.IsSplitPair():
 		// One logical item spans both halves (which may sit inside
 		// RoleGroup wrappers added by later transformations).
 		var roots []*Value
 		for _, role := range []graph.Role{graph.RoleSplitLeft, graph.RoleSplitRight} {
-			half := findRoleHolder(iv, role)
+			half := reach(iv, graph.FindRoleHolder(n, role))
 			if half == nil {
 				return nil, fmt.Errorf("field %q: split half %v missing", n.Origin.Name, role)
 			}
@@ -572,13 +471,9 @@ func (m *Message) addItem(iv *Value) (*Scope, error) {
 	}
 }
 
-// isSplitPair reports whether n is the pair Sequence introduced by
-// TabSplit or RepSplit.
-func isSplitPair(n *graph.Node) bool { return n.IsSplitPair() }
-
 // Items returns one scope per item of a Repetition or Tabular.
 func (s *Scope) Items(name string) ([]*Scope, error) {
-	iv, err := s.locateContainer(name)
+	iv, err := s.locate(name)
 	if err != nil {
 		return nil, err
 	}
@@ -594,10 +489,10 @@ func (m *Message) itemScopes(iv *Value) ([]*Scope, error) {
 			out[i] = &Scope{m: m, roots: []*Value{k}}
 		}
 		return out, nil
-	case n.Kind == graph.Sequence && isSplitPair(n):
+	case n.IsSplitPair():
 		var halves [][]*Scope
 		for _, role := range []graph.Role{graph.RoleSplitLeft, graph.RoleSplitRight} {
-			half := findRoleHolder(iv, role)
+			half := reach(iv, graph.FindRoleHolder(n, role))
 			if half == nil {
 				return nil, fmt.Errorf("field %q: split half %v missing", n.Origin.Name, role)
 			}

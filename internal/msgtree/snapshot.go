@@ -57,7 +57,7 @@ func (m *Message) snapWalk(v *Value, prefix string, out map[string]string) error
 		}
 		return nil
 	case (n.Kind == graph.Repetition || n.Kind == graph.Tabular) && !underSplitPair(n),
-		n.Kind == graph.Sequence && isSplitPair(n):
+		n.IsSplitPair():
 		items, err := m.itemScopes(v)
 		if err != nil {
 			return err
@@ -86,7 +86,7 @@ func (m *Message) snapWalk(v *Value, prefix string, out map[string]string) error
 // underSplitPair reports whether n is one half of a TabSplit/RepSplit
 // pair (handled by the pair Sequence, not individually).
 func underSplitPair(n *graph.Node) bool {
-	return n.Parent != nil && isSplitPair(n.Parent)
+	return n.Parent != nil && n.Parent.IsSplitPair()
 }
 
 // FormatSnapshot renders a snapshot deterministically for debugging.

@@ -75,24 +75,7 @@ func ByName(name string) Transform {
 	return nil
 }
 
-// valueBearing reports whether n carries a terminal value that value
-// transformations may target: an original terminal, a combine sequence
-// from an earlier split, a synthetic length field, or one half of a
-// split (splits and constant operations stack recursively: the getters
-// invert them from the inside out).
-func valueBearing(n *graph.Node) bool {
-	if n.Kind != graph.Terminal && n.Comb == nil {
-		return false
-	}
-	switch n.Origin.Role {
-	case graph.RoleWhole, graph.RoleLengthOf, graph.RoleSplitLeft, graph.RoleSplitRight:
-		return true
-	default:
-		return false
-	}
-}
-
-// isSynthetic reports whether n is a pad.
+// isPad reports whether n is a pad.
 func isPad(n *graph.Node) bool { return n.Origin.Role == graph.RolePad }
 
 // uintWidth returns the integer width of a value-bearing node, 0 when it
@@ -124,7 +107,7 @@ type splitArith struct {
 func (t splitArith) Name() string { return t.name }
 
 func (t splitArith) Applicable(_ *graph.Graph, n *graph.Node) bool {
-	if !valueBearing(n) || isPad(n) || n.Reversed {
+	if !n.ValueBearing() || isPad(n) || n.Reversed {
 		return false
 	}
 	// Only plain terminals split; a combine sequence is deepened by
@@ -183,7 +166,7 @@ type splitCat struct{}
 func (splitCat) Name() string { return "SplitCat" }
 
 func (splitCat) Applicable(_ *graph.Graph, n *graph.Node) bool {
-	if !valueBearing(n) || isPad(n) || n.Reversed {
+	if !n.ValueBearing() || isPad(n) || n.Reversed {
 		return false
 	}
 	if n.Comb != nil {
@@ -268,7 +251,7 @@ type constOp struct {
 func (t constOp) Name() string { return t.name }
 
 func (t constOp) Applicable(_ *graph.Graph, n *graph.Node) bool {
-	if !valueBearing(n) || isPad(n) {
+	if !n.ValueBearing() || isPad(n) {
 		return false
 	}
 	switch n.Enc {

@@ -12,6 +12,7 @@ import (
 
 	"protoobf/internal/artifact"
 	"protoobf/internal/core"
+	"protoobf/internal/graph"
 	"protoobf/internal/protocols/httpmsg"
 	"protoobf/internal/protocols/modbus"
 )
@@ -137,6 +138,20 @@ func TestGoldenDialects(t *testing.T) {
 			t.Errorf("%s: missing from %s", d.key, goldenFile)
 		} else if w != d.line {
 			t.Errorf("dialect changed:\n got %s\nwant %s", d.line, w)
+		}
+		// Accessors and references resolve a name to the first carrier
+		// in scope (msgtree), so a second carrier would be shadowed.
+		carriers := map[string]int{}
+		d.proto.Graph.Walk(func(n *graph.Node) bool {
+			if r := n.Origin.Role; r == graph.RoleWhole || r == graph.RoleLengthOf {
+				carriers[n.Origin.Name]++
+			}
+			return true
+		})
+		for name, c := range carriers {
+			if c > 1 {
+				t.Errorf("%s: %d nodes carry %q", d.key, c, name)
+			}
 		}
 	}
 }

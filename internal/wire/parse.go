@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
 
 	"protoobf/internal/graph"
@@ -143,7 +144,7 @@ func (p *parser) terminal(n *graph.Node, v *msgtree.Value, data []byte, pos, end
 		content = data[pos : pos+n.Boundary.Size]
 		pos += n.Boundary.Size
 	case graph.Delimited:
-		idx := indexOf(data[pos:end], n.Boundary.Delim)
+		idx := bytes.Index(data[pos:end], n.Boundary.Delim)
 		if idx < 0 {
 			return 0, perr(n, pos, "delimiter %q not found", n.Boundary.Delim)
 		}
@@ -208,7 +209,7 @@ func (p *parser) sequence(n *graph.Node, v *msgtree.Value, data []byte, pos, end
 		return 0, perr(n, pos, "region has %d unconsumed bytes", subEnd-pos)
 	}
 	if n.Boundary.Kind == graph.Delimited {
-		if !hasPrefix(data, pos, end, n.Boundary.Delim) {
+		if !bytes.HasPrefix(data[pos:end], n.Boundary.Delim) {
 			return 0, perr(n, pos, "expected delimiter %q", n.Boundary.Delim)
 		}
 		pos += len(n.Boundary.Delim)
@@ -267,7 +268,9 @@ func (p *parser) repSplitPair(n *graph.Node, v *msgtree.Value, data []byte, pos,
 }
 
 func (p *parser) optional(n *graph.Node, v *msgtree.Value, data []byte, pos, end int) (int, error) {
-	target := msgtree.FindRef(v, n.Cond.Ref)
+	// The guard parses before the optional, so it resolves from the
+	// enclosing scope; v's own subtree is not parsed yet.
+	target := msgtree.FindRef(v.Parent, n.Cond.Ref)
 	if target == nil {
 		return 0, perr(n, pos, "presence reference %q not parsed yet", n.Cond.Ref)
 	}
@@ -302,7 +305,7 @@ func (p *parser) repetition(n *graph.Node, v *msgtree.Value, data []byte, pos, e
 	switch n.Boundary.Kind {
 	case graph.Delimited:
 		for {
-			if hasPrefix(data, pos, end, n.Boundary.Delim) {
+			if bytes.HasPrefix(data[pos:end], n.Boundary.Delim) {
 				return pos + len(n.Boundary.Delim), nil
 			}
 			if pos >= end {
@@ -373,35 +376,4 @@ func (p *parser) tabular(n *graph.Node, v *msgtree.Value, data []byte, pos, end 
 		pos = next
 	}
 	return pos, nil
-}
-
-func indexOf(haystack, needle []byte) int {
-	if len(needle) == 0 {
-		return -1
-	}
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		match := true
-		for j := range needle {
-			if haystack[i+j] != needle[j] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return i
-		}
-	}
-	return -1
-}
-
-func hasPrefix(data []byte, pos, end int, prefix []byte) bool {
-	if pos+len(prefix) > end {
-		return false
-	}
-	for i, c := range prefix {
-		if data[pos+i] != c {
-			return false
-		}
-	}
-	return true
 }

@@ -48,7 +48,9 @@ func fill(m *msgtree.Message, root *msgtree.Value) error {
 			return nil
 		}
 		if ref := n.Boundary.Ref; ref != "" {
-			target := msgtree.FindRef(v, ref)
+			// The target precedes its dependent (graph.Validate), so it
+			// resolves from the enclosing scope.
+			target := msgtree.FindRef(v.Parent, ref)
 			if target == nil {
 				return fmt.Errorf("serialize: reference %q of node %q not found in scope", ref, n.Name)
 			}
