@@ -92,7 +92,6 @@ type settings struct {
 	zeroOverhead    *bool
 	maxPacket       *int
 	traceCap        int
-	traceClock      func() time.Time
 }
 
 // Option is a functional option accepted by both NewEndpoint and
@@ -250,12 +249,6 @@ func WithTrace(n int) Option {
 	return func(cfg *settings) { cfg.traceCap = n }
 }
 
-// withTraceClock injects the trace ring's clock for deterministic
-// timestamps in tests.
-func withTraceClock(clock func() time.Time) Option {
-	return func(cfg *settings) { cfg.traceClock = clock }
-}
-
 // NewEndpoint compiles the dialect family of (spec, opts) once and
 // returns the endpoint that mints its sessions. Endpoint options become
 // the default control-plane configuration of every session; each can be
@@ -283,7 +276,7 @@ func NewEndpoint(spec string, opts Options, o ...EndpointOption) (*Endpoint, err
 		ep.replay = session.NewReplayCache(*w)
 	}
 	if n := ep.base.traceCap; n > 0 {
-		ep.trace = trace.NewWithClock(n, ep.base.traceClock)
+		ep.trace = trace.New(n)
 	}
 	return ep, nil
 }

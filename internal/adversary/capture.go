@@ -33,6 +33,7 @@ import (
 
 	"protoobf"
 	"protoobf/internal/frame"
+	"protoobf/internal/msgtree"
 	"protoobf/internal/rng"
 	"protoobf/internal/session/sched"
 )
@@ -243,17 +244,7 @@ func Capture(cfg CaptureConfig) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := m.Scope()
-		if err := s.SetUint("device", uint64(r.Intn(1<<8))); err != nil {
-			return nil, err
-		}
-		if err := s.SetUint("seqno", uint64(i)); err != nil {
-			return nil, err
-		}
-		if err := s.SetBytes("status", statusBytes(r)); err != nil {
-			return nil, err
-		}
-		if err := s.SetBytes("sig", nil); err != nil {
+		if err := SetTelemetry(m, uint64(r.Intn(1<<8)), uint64(i), StatusBytes(r)); err != nil {
 			return nil, err
 		}
 		if err := cli.Send(m); err != nil {
@@ -269,11 +260,27 @@ func Capture(cfg CaptureConfig) (*Trace, error) {
 	return tap.Trace(), nil
 }
 
-// statusBytes builds a variable-length, low-entropy status value — the
+// SetTelemetry fills one Spec message: device, seqno and status, with an
+// empty signature.
+func SetTelemetry(m *msgtree.Message, device, seqno uint64, status []byte) error {
+	s := m.Scope()
+	if err := s.SetUint("device", device); err != nil {
+		return err
+	}
+	if err := s.SetUint("seqno", seqno); err != nil {
+		return err
+	}
+	if err := s.SetBytes("status", status); err != nil {
+		return err
+	}
+	return s.SetBytes("sig", nil)
+}
+
+// StatusBytes builds a variable-length, low-entropy status value — the
 // structured plaintext shape (think text protocols) a byte-level
 // distinguisher feeds on. Obfuscating transformations disperse these
 // concentrated byte frequencies; the plaintext keeps them.
-func statusBytes(r *rng.R) []byte {
+func StatusBytes(r *rng.R) []byte {
 	n := 1 + r.Intn(24)
 	b := make([]byte, n)
 	const alphabet = "ab"

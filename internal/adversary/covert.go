@@ -61,17 +61,7 @@ func CovertCapacity(perNode, epochs int, seed int64) (CovertEstimate, error) {
 // serializeProbe renders the fixed probe message under one version.
 func serializeProbe(p *core.Protocol) ([]byte, error) {
 	m := p.NewMessage()
-	s := m.Scope()
-	if err := s.SetUint("device", 7); err != nil {
-		return nil, err
-	}
-	if err := s.SetUint("seqno", 1234); err != nil {
-		return nil, err
-	}
-	if err := s.SetString("status", "steady"); err != nil {
-		return nil, err
-	}
-	if err := s.SetBytes("sig", nil); err != nil {
+	if err := SetTelemetry(m, 7, 1234, []byte("steady")); err != nil {
 		return nil, err
 	}
 	return p.Serialize(m)

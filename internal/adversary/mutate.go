@@ -125,17 +125,7 @@ func baselineFrames(rot *core.Rotation, n int, seed int64) ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := m.Scope()
-		if err := s.SetUint("device", uint64(r.Intn(1<<8))); err != nil {
-			return nil, err
-		}
-		if err := s.SetUint("seqno", uint64(i)); err != nil {
-			return nil, err
-		}
-		if err := s.SetBytes("status", statusBytes(r)); err != nil {
-			return nil, err
-		}
-		if err := s.SetBytes("sig", nil); err != nil {
+		if err := SetTelemetry(m, uint64(r.Intn(1<<8)), uint64(i), StatusBytes(r)); err != nil {
 			return nil, err
 		}
 		if err := tx.Send(m); err != nil {

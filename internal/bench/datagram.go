@@ -246,21 +246,7 @@ func sendDgramMsg(c *dgram.Conn, i int, r *rng.R) error {
 	if err != nil {
 		return err
 	}
-	s := m.Scope()
-	if err := s.SetUint("device", uint64(r.Intn(1<<8))); err != nil {
-		return err
-	}
-	if err := s.SetUint("seqno", uint64(i)); err != nil {
-		return err
-	}
-	status := make([]byte, 1+r.Intn(24))
-	for j := range status {
-		status[j] = "ab"[j%2]
-	}
-	if err := s.SetBytes("status", status); err != nil {
-		return err
-	}
-	if err := s.SetBytes("sig", nil); err != nil {
+	if err := adversary.SetTelemetry(m, uint64(r.Intn(1<<8)), uint64(i), adversary.StatusBytes(r)); err != nil {
 		return err
 	}
 	return c.Send(m)
@@ -417,17 +403,7 @@ func runDatagramBatchLeg(ctx context.Context, cfg DatagramConfig, zo bool) (Data
 			if err != nil {
 				return leg, err
 			}
-			s := m.Scope()
-			if err := s.SetUint("device", 1); err != nil {
-				return leg, err
-			}
-			if err := s.SetUint("seqno", uint64(sent+i)); err != nil {
-				return leg, err
-			}
-			if err := s.SetBytes("status", []byte{byte('a' + r.Intn(2))}); err != nil {
-				return leg, err
-			}
-			if err := s.SetBytes("sig", nil); err != nil {
+			if err := adversary.SetTelemetry(m, 1, uint64(sent+i), []byte{byte('a' + r.Intn(2))}); err != nil {
 				return leg, err
 			}
 			ms = append(ms, m)

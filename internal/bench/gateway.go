@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"protoobf"
+	"protoobf/internal/adversary"
 	"protoobf/internal/msgtree"
 	"protoobf/internal/session"
 )
@@ -420,17 +421,7 @@ func buildTelemetry(c *session.Conn, device, seqno uint64, status string) (*msgt
 	if err != nil {
 		return nil, err
 	}
-	s := m.Scope()
-	if err := s.SetUint("device", device); err != nil {
-		return nil, err
-	}
-	if err := s.SetUint("seqno", seqno); err != nil {
-		return nil, err
-	}
-	if err := s.SetString("status", status); err != nil {
-		return nil, err
-	}
-	if err := s.SetBytes("sig", nil); err != nil {
+	if err := adversary.SetTelemetry(m, device, seqno, []byte(status)); err != nil {
 		return nil, err
 	}
 	return m, nil

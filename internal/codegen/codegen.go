@@ -534,11 +534,6 @@ func (gen *generator) sizeFor(n *graph.Node) {
 	}
 }
 
-// pathStep is one navigation step from a struct variable.
-type pathStep struct {
-	node *graph.Node // the node stepped into
-}
-
 // instancePath returns the chain of nodes from the root (exclusive) down
 // to n (inclusive).
 func instancePath(n *graph.Node) []*graph.Node {
@@ -1100,7 +1095,6 @@ func goName(orig string) string {
 
 func (gen *generator) optionalAPI(n *graph.Node) {
 	name := goName(n.Origin.Name)
-	id := gen.ident(n)
 	gen.p("// Enable%s instantiates the optional %q subtree.\nfunc (m *Message) Enable%s() error {\n", name, n.Origin.Name, name)
 	v, err := gen.navFromRoot(n, "")
 	if err != nil {
@@ -1117,7 +1111,6 @@ func (gen *generator) optionalAPI(n *graph.Node) {
 		return
 	}
 	gen.p("\treturn %s.Present, nil\n}\n\n", v)
-	_ = id
 }
 
 // containerAPI emits Add/Count plus an item handle for one container.

@@ -1,20 +1,16 @@
-// Package frame implements the length-prefixed transport framing the
-// core applications use on TCP streams. Obfuscated messages are not
+// Package frame implements the transport framing of the session layer
+// (internal/session) on byte streams. Obfuscated messages are not
 // self-framing (the transformed format may end with variable padding or
-// End-bounded fields), so the transport adds a 4-byte big-endian length.
-// This is a transport concern, deliberately outside the message format
-// that the obfuscation transforms.
+// End-bounded fields), so every message travels in an epoch frame:
 //
-// Two frame flavors share the length prefix:
+//	[4-byte kind|length][8-byte epoch][payload]
 //
-//	plain frame:  [4-byte length][payload]
-//	epoch frame:  [4-byte kind|length][8-byte epoch][payload]
-//
-// The epoch frame carries the dialect epoch of the session layer
-// (internal/session) outside the obfuscated payload, mirroring the
-// transport/format split of the plain frame: the epoch selects which
-// protocol version decodes the payload, so it cannot itself live inside
-// the version-dependent bytes.
+// The length counts the payload only. The epoch is the dialect epoch of
+// the session layer, carried outside the obfuscated payload: it selects
+// which protocol version decodes the payload, so it cannot itself live
+// inside the version-dependent bytes. This is a transport concern,
+// deliberately outside the message format that the obfuscation
+// transforms.
 //
 // Payloads are bounded by MaxFrame (1 MiB), so the top byte of the
 // 4-byte length word is always zero for data frames. The session layer
@@ -25,9 +21,9 @@
 // byte rejects control frames as oversized rather than misparsing them;
 // kinds above KindMax are unassigned and rejected by the session layer.
 //
-// The *Append variants and the package-level buffer pool let steady-state
-// readers avoid a per-message allocation: read into a pooled or reused
-// buffer, process, release.
+// Readers decode the header with DecodeHeader and read the payload with
+// ReadBody into a pooled or reused buffer (GetBuffer/PutBuffer), so a
+// steady-state read loop does not allocate per message.
 package frame
 
 import (
@@ -113,41 +109,6 @@ func PutBuffer(b []byte) {
 	bufPool.Put(&b)
 }
 
-// Write writes one length-prefixed message.
-func Write(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("frame: payload of %d bytes exceeds limit %d", len(payload), MaxFrame)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// Read reads one length-prefixed message into a fresh buffer.
-func Read(r io.Reader) ([]byte, error) {
-	return ReadAppend(r, nil)
-}
-
-// ReadAppend reads one length-prefixed message, appending the payload to
-// buf (which may be nil or a recycled buffer) and returning the extended
-// slice. The capacity of buf is reused when sufficient, so a steady-state
-// read loop passing its previous buffer back in does not allocate.
-func ReadAppend(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return buf, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return buf, fmt.Errorf("frame: length %d exceeds limit %d", n, MaxFrame)
-	}
-	return ReadBody(r, buf, int(n))
-}
-
 // EncodeHeader fills hdr (EpochHeaderLen bytes) with an epoch frame
 // preamble carrying an explicit frame kind. Callers owning a long-lived
 // header scratch (e.g. a session transport) avoid the stack-to-heap
@@ -173,59 +134,8 @@ func DecodeHeader(hdr []byte) (kind byte, payloadLen int, epoch uint64, err erro
 	return kind, int(n), binary.BigEndian.Uint64(hdr[4:EpochHeaderLen]), nil
 }
 
-// EncodeEpochHeader fills hdr with a data-frame preamble (kind
-// KindData); the wire bytes are identical to the pre-kind format.
-func EncodeEpochHeader(hdr []byte, epoch uint64, payloadLen int) error {
-	return EncodeHeader(hdr, KindData, epoch, payloadLen)
-}
-
-// DecodeEpochHeader parses a data-frame preamble. A control frame (any
-// nonzero kind) is an error here: callers that want the control plane
-// decode with DecodeHeader.
-func DecodeEpochHeader(hdr []byte) (payloadLen int, epoch uint64, err error) {
-	kind, n, epoch, err := DecodeHeader(hdr)
-	if err != nil {
-		return 0, 0, err
-	}
-	if kind != KindData {
-		return 0, 0, fmt.Errorf("frame: unexpected control frame kind %#02x", kind)
-	}
-	return n, epoch, nil
-}
-
-// WriteEpoch writes one epoch-tagged frame. The length prefix counts the
-// payload only; the epoch rides between length and payload.
-func WriteEpoch(w io.Writer, epoch uint64, payload []byte) error {
-	var hdr [EpochHeaderLen]byte
-	if err := EncodeEpochHeader(hdr[:], epoch, len(payload)); err != nil {
-		return err
-	}
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// ReadEpochAppend reads one epoch-tagged frame, appending the payload to
-// buf as ReadAppend does, and returns the extended slice and the frame's
-// epoch.
-func ReadEpochAppend(r io.Reader, buf []byte) ([]byte, uint64, error) {
-	var hdr [EpochHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return buf, 0, err
-	}
-	n, epoch, err := DecodeEpochHeader(hdr[:])
-	if err != nil {
-		return buf, 0, err
-	}
-	out, err := ReadBody(r, buf, n)
-	return out, epoch, err
-}
-
 // ReadBody appends n bytes from r to buf, reusing buf's capacity: the
-// payload-read half of a frame read, for callers that decode the header
-// themselves.
+// payload-read half of a frame read, after DecodeHeader has named n.
 func ReadBody(r io.Reader, buf []byte, n int) ([]byte, error) {
 	start := len(buf)
 	if cap(buf)-start < n {

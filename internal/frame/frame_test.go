@@ -8,31 +8,56 @@ import (
 	"testing/quick"
 )
 
+// writeFrame appends one epoch frame to buf.
+func writeFrame(buf *bytes.Buffer, kind byte, epoch uint64, payload []byte) error {
+	var hdr [EpochHeaderLen]byte
+	if err := EncodeHeader(hdr[:], kind, epoch, len(payload)); err != nil {
+		return err
+	}
+	buf.Write(hdr[:])
+	buf.Write(payload)
+	return nil
+}
+
+// readFrame reads one epoch frame from r.
+func readFrame(r io.Reader) (byte, uint64, []byte, error) {
+	var hdr [EpochHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, 0, nil, err
+	}
+	kind, n, epoch, err := DecodeHeader(hdr[:])
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	payload, err := ReadBody(r, nil, n)
+	return kind, epoch, payload, err
+}
+
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	for _, payload := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte{0xAB}, 4096)} {
 		buf.Reset()
-		if err := Write(&buf, payload); err != nil {
-			t.Fatalf("Write(%d bytes): %v", len(payload), err)
+		if err := writeFrame(&buf, KindData, 9, payload); err != nil {
+			t.Fatalf("write(%d bytes): %v", len(payload), err)
 		}
-		got, err := Read(&buf)
+		kind, epoch, got, err := readFrame(&buf)
 		if err != nil {
-			t.Fatalf("Read: %v", err)
+			t.Fatalf("read: %v", err)
 		}
-		if !bytes.Equal(got, payload) {
-			t.Errorf("round trip mismatch for %d bytes", len(payload))
+		if kind != KindData || epoch != 9 || !bytes.Equal(got, payload) {
+			t.Errorf("round trip mismatch for %d bytes: kind %#02x epoch %d", len(payload), kind, epoch)
 		}
 	}
 }
 
 func TestRoundTripProperty(t *testing.T) {
-	f := func(payload []byte) bool {
+	f := func(kind byte, epoch uint64, payload []byte) bool {
 		var buf bytes.Buffer
-		if err := Write(&buf, payload); err != nil {
+		if err := writeFrame(&buf, kind, epoch, payload); err != nil {
 			return false
 		}
-		got, err := Read(&buf)
-		return err == nil && bytes.Equal(got, payload)
+		k, e, got, err := readFrame(&buf)
+		return err == nil && k == kind && e == epoch && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -40,29 +65,29 @@ func TestRoundTripProperty(t *testing.T) {
 }
 
 func TestOversized(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, make([]byte, MaxFrame+1)); err == nil {
-		t.Error("oversized write accepted")
+	var hdr [EpochHeaderLen]byte
+	if err := EncodeHeader(hdr[:], KindData, 0, MaxFrame+1); err == nil {
+		t.Error("oversized header encoded")
 	}
 	// A forged oversized header is rejected before allocation.
-	hdr := bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := Read(hdr); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+	forged := bytes.NewReader([]byte{0, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0})
+	if _, _, _, err := readFrame(forged); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Errorf("oversized header: %v", err)
 	}
 }
 
 func TestTruncated(t *testing.T) {
 	// Header cut short.
-	if _, err := Read(bytes.NewReader([]byte{0, 0})); err == nil {
+	if _, _, _, err := readFrame(bytes.NewReader([]byte{0, 0})); err == nil {
 		t.Error("short header accepted")
 	}
 	// Payload cut short.
 	var buf bytes.Buffer
-	if err := Write(&buf, []byte("hello")); err != nil {
+	if err := writeFrame(&buf, KindData, 1, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	short := buf.Bytes()[:buf.Len()-2]
-	if _, err := Read(bytes.NewReader(short)); err != io.ErrUnexpectedEOF {
+	if _, _, _, err := readFrame(bytes.NewReader(short)); err != io.ErrUnexpectedEOF {
 		t.Errorf("short payload: %v", err)
 	}
 }
@@ -89,22 +114,12 @@ func TestDataFrameWireUnchangedByKindByte(t *testing.T) {
 	// A data frame must stay byte-identical to the pre-kind format: the
 	// kind byte reuses the always-zero top byte of the length word.
 	var hdr [EpochHeaderLen]byte
-	if err := EncodeEpochHeader(hdr[:], 7, 300); err != nil {
+	if err := EncodeHeader(hdr[:], KindData, 7, 300); err != nil {
 		t.Fatal(err)
 	}
 	want := []byte{0, 0, 0x01, 0x2C, 0, 0, 0, 0, 0, 0, 0, 7}
 	if !bytes.Equal(hdr[:], want) {
 		t.Errorf("data header = % x, want % x", hdr[:], want)
-	}
-}
-
-func TestDecodeEpochHeaderRejectsControlFrames(t *testing.T) {
-	var hdr [EpochHeaderLen]byte
-	if err := EncodeHeader(hdr[:], KindRekeyPropose, 3, 16); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := DecodeEpochHeader(hdr[:]); err == nil || !strings.Contains(err.Error(), "control frame") {
-		t.Errorf("control frame decoded as data: %v", err)
 	}
 }
 
@@ -119,14 +134,14 @@ func TestDecodeHeaderOversized(t *testing.T) {
 func TestMultipleFramesOnOneStream(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 3; i++ {
-		if err := Write(&buf, []byte{byte(i), byte(i)}); err != nil {
+		if err := writeFrame(&buf, KindData, uint64(i), []byte{byte(i), byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		got, err := Read(&buf)
-		if err != nil || got[0] != byte(i) {
-			t.Fatalf("frame %d: %x, %v", i, got, err)
+		_, epoch, got, err := readFrame(&buf)
+		if err != nil || epoch != uint64(i) || got[0] != byte(i) {
+			t.Fatalf("frame %d: %x at epoch %d, %v", i, got, epoch, err)
 		}
 	}
 }

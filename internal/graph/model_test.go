@@ -178,8 +178,8 @@ func TestLeavesOrder(t *testing.T) {
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("leaves = %q, want %q", got, want)
 	}
-	if FirstLeaf(g.Find("payload")).Name != "name" {
-		t.Error("FirstLeaf(payload) wrong")
+	if Leaves(g.Find("payload"))[0].Name != "name" {
+		t.Error("first leaf of payload wrong")
 	}
 }
 

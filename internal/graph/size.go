@@ -67,16 +67,6 @@ func Leaves(n *Node) []*Node {
 	return out
 }
 
-// FirstLeaf returns the first Terminal encountered in serialization order
-// under n, or nil when n has no Terminal descendant.
-func FirstLeaf(n *Node) *Node {
-	leaves := Leaves(n)
-	if len(leaves) == 0 {
-		return nil
-	}
-	return leaves[0]
-}
-
 // Ancestors returns the chain of ancestors of n from parent to root.
 func Ancestors(n *Node) []*Node {
 	var out []*Node

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"protoobf/internal/graph"
 	"protoobf/internal/rng"
 	"protoobf/internal/transform"
 	"protoobf/internal/wire"
@@ -268,7 +269,44 @@ func TestObfuscatedWireHidesKeywords(t *testing.T) {
 	}
 }
 
-func TestClientServerTCP(t *testing.T) {
+// exchange runs one request/response exchange in process, through the
+// wire bytes both ways: the client builds and serializes the request,
+// the server parses and extracts it and answers with RespondTo, and the
+// client parses and extracts the reply.
+func exchange(reqG, respG *graph.Graph, cli, srv *rng.R, req Request) (Response, error) {
+	m, err := BuildRequest(reqG, cli, req)
+	if err != nil {
+		return Response{}, err
+	}
+	data, err := wire.Serialize(m)
+	if err != nil {
+		return Response{}, err
+	}
+	got, err := wire.Parse(reqG, data, srv)
+	if err != nil {
+		return Response{}, fmt.Errorf("parse request: %w", err)
+	}
+	q, err := ExtractRequest(got)
+	if err != nil {
+		return Response{}, fmt.Errorf("extract request: %w", err)
+	}
+	out, err := BuildResponse(respG, srv, RespondTo(q))
+	if err != nil {
+		return Response{}, fmt.Errorf("build response: %w", err)
+	}
+	if data, err = wire.Serialize(out); err != nil {
+		return Response{}, err
+	}
+	back, err := wire.Parse(respG, data, cli)
+	if err != nil {
+		return Response{}, err
+	}
+	return ExtractResponse(back)
+}
+
+// TestClientServerExchange runs the HTTP core application, client and
+// server, with an obfuscated protocol.
+func TestClientServerExchange(t *testing.T) {
 	reqG, err := RequestGraph()
 	if err != nil {
 		t.Fatal(err)
@@ -286,19 +324,12 @@ func TestClientServerTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(reqRes.Graph, respRes.Graph, 1)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	cli, srv := rng.New(2), rng.New(1)
+	do := func(req Request) (Response, error) {
+		return exchange(reqRes.Graph, respRes.Graph, cli, srv, req)
 	}
-	defer srv.Close()
-	cli, err := Dial(addr, reqRes.Graph, respRes.Graph, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
 
-	resp, err := cli.Do(Request{Method: "GET", URI: "/api/v1/items", Version: "HTTP/1.1",
+	resp, err := do(Request{Method: "GET", URI: "/api/v1/items", Version: "HTTP/1.1",
 		Headers: []Header{{"Host", "example.com"}}})
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +337,7 @@ func TestClientServerTCP(t *testing.T) {
 	if resp.Status != 200 || !strings.Contains(string(resp.Body), "items") {
 		t.Fatalf("GET /api -> %d %q", resp.Status, resp.Body)
 	}
-	resp, err = cli.Do(Request{Method: "POST", URI: "/submit", Version: "HTTP/1.1",
+	resp, err = do(Request{Method: "POST", URI: "/submit", Version: "HTTP/1.1",
 		Headers: []Header{{"Host", "example.com"}}, Body: []byte("xyz")})
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +345,7 @@ func TestClientServerTCP(t *testing.T) {
 	if resp.Status != 201 || !strings.Contains(string(resp.Body), "3 bytes") {
 		t.Fatalf("POST -> %d %q", resp.Status, resp.Body)
 	}
-	resp, err = cli.Do(Request{Method: "GET", URI: "/missing", Version: "HTTP/1.1",
+	resp, err = do(Request{Method: "GET", URI: "/missing", Version: "HTTP/1.1",
 		Headers: []Header{{"Host", "example.com"}}})
 	if err != nil {
 		t.Fatal(err)

@@ -1,16 +1,9 @@
 package modbus
 
 import (
-	"errors"
 	"fmt"
-	"net"
-	"sync"
 
-	"protoobf/internal/graph"
 	"protoobf/internal/msgtree"
-	"protoobf/internal/rng"
-	"protoobf/internal/session"
-	"protoobf/internal/wire"
 )
 
 // ExtractRequest recovers the logical request from a (possibly
@@ -249,136 +242,4 @@ func enabled(s *msgtree.Scope, opt string) (*msgtree.Scope, error) {
 		return nil, fmt.Errorf("modbus: optional %q absent for its function code", opt)
 	}
 	return s.Enable(opt)
-}
-
-// Server is the Modbus core application: it answers requests over a
-// register bank, parsing and serializing through a (possibly obfuscated)
-// protocol library. Both peers must be generated with the same
-// transformations, as the paper requires (§IV). Connections run over the
-// obfuscated session transport (internal/session), which frames each
-// message with its dialect epoch.
-type Server struct {
-	ReqGraph  *graph.Graph
-	RespGraph *graph.Graph
-	Bank      *Bank
-	Rng       *rng.R
-
-	mu sync.Mutex
-	ln net.Listener
-}
-
-// NewServer creates a server with an empty bank.
-func NewServer(reqG, respG *graph.Graph, seed int64) *Server {
-	return &Server{ReqGraph: reqG, RespGraph: respG, Bank: NewBank(), Rng: rng.New(seed)}
-}
-
-// Listen binds addr ("127.0.0.1:0" for an ephemeral port) and serves
-// until Close. It returns the bound address.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	go session.Serve(ln, s.serveSession)
-	return ln.Addr().String(), nil
-}
-
-// Close stops the listener.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	err := s.ln.Close()
-	s.ln = nil
-	return err
-}
-
-func (s *Server) serveSession(t *session.Transport) {
-	s.mu.Lock()
-	r := rng.New(s.Rng.Int63())
-	s.mu.Unlock()
-	_ = t.ServeLoop(func(req []byte) ([]byte, error) {
-		return s.Handle(req, r)
-	})
-}
-
-// Handle processes one serialized request and returns the serialized
-// response (exposed separately for in-process tests and benchmarks).
-func (s *Server) Handle(frame []byte, r *rng.R) ([]byte, error) {
-	msg, err := wire.Parse(s.ReqGraph, frame, r)
-	if err != nil {
-		return nil, fmt.Errorf("parse request: %w", err)
-	}
-	req, err := ExtractRequest(msg)
-	if err != nil {
-		return nil, fmt.Errorf("extract request: %w", err)
-	}
-	resp := RespondTo(req, s.Bank)
-	out, err := BuildResponse(s.RespGraph, r, resp)
-	if err != nil {
-		return nil, fmt.Errorf("build response: %w", err)
-	}
-	return wire.Serialize(out)
-}
-
-// Client is the requesting side of the core application.
-type Client struct {
-	ReqGraph  *graph.Graph
-	RespGraph *graph.Graph
-	Rng       *rng.R
-	conn      net.Conn
-	sess      *session.Transport
-}
-
-// Dial connects to a server.
-func Dial(addr string, reqG, respG *graph.Graph, seed int64) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{
-		ReqGraph: reqG, RespGraph: respG, Rng: rng.New(seed),
-		conn: conn, sess: session.NewTransport(conn),
-	}, nil
-}
-
-// Close terminates the connection.
-func (c *Client) Close() error {
-	err := c.conn.Close()
-	c.sess.Release()
-	return err
-}
-
-// Do sends a request and returns the decoded response.
-func (c *Client) Do(req Request) (Response, error) {
-	var resp Response
-	m, err := BuildRequest(c.ReqGraph, c.Rng, req)
-	if err != nil {
-		return resp, err
-	}
-	data, err := wire.Serialize(m)
-	if err != nil {
-		return resp, err
-	}
-	raw, _, err := c.sess.Roundtrip(data)
-	if err != nil {
-		return resp, err
-	}
-	back, err := wire.Parse(c.RespGraph, raw, c.Rng)
-	if err != nil {
-		return resp, err
-	}
-	resp, err = ExtractResponse(back)
-	if err != nil {
-		return resp, err
-	}
-	if resp.TxID != req.TxID {
-		return resp, errors.New("modbus: transaction id mismatch")
-	}
-	return resp, nil
 }

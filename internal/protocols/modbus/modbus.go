@@ -1,8 +1,10 @@
 // Package modbus provides the TCP-Modbus message-format specification
 // used in the paper's evaluation (§VII): the request and response formats
 // of function codes 1, 2, 3, 4, 5, 6, 15 and 16 — the message set of the
-// simplymodbus client implementation — plus builders, random workload
-// generators and a TCP client/server core application.
+// simplymodbus client implementation — plus builders and extractors, the
+// server logic (RespondTo over a register Bank) and random workload
+// generators. The messages travel over protoobf.Endpoint sessions like
+// any other spec; examples/modbus-tcp runs them over loopback TCP.
 //
 // Modbus exercises the binary-protocol side of the model: Tabular fields,
 // Length boundaries and Counter boundaries (paper §VII).

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"protoobf/internal/graph"
 	"protoobf/internal/rng"
 	"protoobf/internal/transform"
 	"protoobf/internal/wire"
@@ -247,9 +248,52 @@ func TestObfuscatedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestClientServerTCP runs the full core application over loopback TCP
-// with an obfuscated protocol: the scenario of the paper's §VII-A.
-func TestClientServerTCP(t *testing.T) {
+// exchange runs one request/response exchange in process, through the
+// wire bytes both ways: the client builds and serializes the request,
+// the server parses and extracts it and answers from bank, and the
+// client parses and extracts the reply.
+func exchange(reqG, respG *graph.Graph, cli, srv *rng.R, bank *Bank, req Request) (Response, error) {
+	var resp Response
+	m, err := BuildRequest(reqG, cli, req)
+	if err != nil {
+		return resp, err
+	}
+	data, err := wire.Serialize(m)
+	if err != nil {
+		return resp, err
+	}
+	got, err := wire.Parse(reqG, data, srv)
+	if err != nil {
+		return resp, fmt.Errorf("parse request: %w", err)
+	}
+	q, err := ExtractRequest(got)
+	if err != nil {
+		return resp, fmt.Errorf("extract request: %w", err)
+	}
+	out, err := BuildResponse(respG, srv, RespondTo(q, bank))
+	if err != nil {
+		return resp, fmt.Errorf("build response: %w", err)
+	}
+	if data, err = wire.Serialize(out); err != nil {
+		return resp, err
+	}
+	back, err := wire.Parse(respG, data, cli)
+	if err != nil {
+		return resp, err
+	}
+	if resp, err = ExtractResponse(back); err != nil {
+		return resp, err
+	}
+	if resp.TxID != req.TxID {
+		return resp, fmt.Errorf("transaction id %d answered as %d", req.TxID, resp.TxID)
+	}
+	return resp, nil
+}
+
+// TestClientServerExchange runs the full core application, client and
+// server over one register bank, with an obfuscated protocol: the
+// scenario of the paper's §VII-A.
+func TestClientServerExchange(t *testing.T) {
 	reqG, err := RequestGraph()
 	if err != nil {
 		t.Fatal(err)
@@ -267,27 +311,18 @@ func TestClientServerTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	srv := NewServer(reqRes.Graph, respRes.Graph, 1)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	cli, srv, bank := rng.New(2), rng.New(1), NewBank()
+	do := func(req Request) (Response, error) {
+		return exchange(reqRes.Graph, respRes.Graph, cli, srv, bank, req)
 	}
-	defer srv.Close()
-
-	cli, err := Dial(addr, reqRes.Graph, respRes.Graph, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
 
 	// Write then read back registers through the obfuscated channel.
 	wr := Request{TxID: 1, Unit: 3, Fc: FcWriteRegs, Addr: 10, Regs: []uint16{111, 222, 333}}
-	if _, err := cli.Do(wr); err != nil {
+	if _, err := do(wr); err != nil {
 		t.Fatalf("write regs: %v", err)
 	}
 	rd := Request{TxID: 2, Unit: 3, Fc: FcReadHolding, Addr: 10, Qty: 3}
-	resp, err := cli.Do(rd)
+	resp, err := do(rd)
 	if err != nil {
 		t.Fatalf("read holding: %v", err)
 	}
@@ -296,10 +331,10 @@ func TestClientServerTCP(t *testing.T) {
 	}
 
 	// Coils too.
-	if _, err := cli.Do(Request{TxID: 3, Unit: 3, Fc: FcWriteCoil, Addr: 5, Val: 0xFF00}); err != nil {
+	if _, err := do(Request{TxID: 3, Unit: 3, Fc: FcWriteCoil, Addr: 5, Val: 0xFF00}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = cli.Do(Request{TxID: 4, Unit: 3, Fc: FcReadCoils, Addr: 5, Qty: 1})
+	resp, err = do(Request{TxID: 4, Unit: 3, Fc: FcReadCoils, Addr: 5, Qty: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,9 +405,9 @@ func TestExceptionResponses(t *testing.T) {
 	}
 }
 
-// TestExceptionOverObfuscatedTCP: the server rejects a bad request with
-// an exception through the obfuscated channel.
-func TestExceptionOverObfuscatedTCP(t *testing.T) {
+// TestExceptionOverObfuscated: the server rejects a bad request with an
+// exception through the obfuscated channel.
+func TestExceptionOverObfuscated(t *testing.T) {
 	reqG, err := RequestGraph()
 	if err != nil {
 		t.Fatal(err)
@@ -390,18 +425,8 @@ func TestExceptionOverObfuscatedTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(reqRes.Graph, respRes.Graph, 1)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli, err := Dial(addr, reqRes.Graph, respRes.Graph, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	resp, err := cli.Do(Request{TxID: 9, Unit: 1, Fc: FcReadHolding, Addr: 0, Qty: 0})
+	resp, err := exchange(reqRes.Graph, respRes.Graph, rng.New(2), rng.New(1), NewBank(),
+		Request{TxID: 9, Unit: 1, Fc: FcReadHolding, Addr: 0, Qty: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

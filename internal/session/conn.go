@@ -386,10 +386,10 @@ func newConn(rw io.ReadWriter, versions Versioner, opts Options) *Conn {
 // benchmarking).
 func (c *Conn) Transport() *Transport { return c.t }
 
-// Release returns the session's pooled buffers (and its transport's) to
-// the shared pool. Call it once the session is done — typically after
-// closing the underlying connection, which remains the owner's job. The
-// session must not be used afterwards.
+// Release returns the session's pooled buffers to the shared pool. Call
+// it once the session is done — typically after closing the underlying
+// connection, which remains the owner's job. The session must not be
+// used afterwards.
 func (c *Conn) Release() {
 	c.stopCoverLoop()
 	c.smu.Lock()
@@ -400,7 +400,6 @@ func (c *Conn) Release() {
 	frame.PutBuffer(c.rbuf)
 	c.rbuf = nil
 	c.pmu.Unlock()
-	c.t.Release()
 }
 
 // Close closes the underlying stream (when it implements io.Closer) and

@@ -9,9 +9,9 @@
 //
 //   - Transport frames raw payloads over any io.ReadWriter, tagging every
 //     frame with a dialect epoch (outside the obfuscated bytes, next to
-//     the length prefix). It knows nothing about protocol graphs and is
-//     what the protocol core applications (internal/protocols/httpmsg,
-//     internal/protocols/modbus) build their request/response loops on.
+//     the length prefix). It knows nothing about protocol graphs: Conn
+//     sends and receives through it, and raw payload probes reach it
+//     through Conn.Transport.
 //
 //   - Conn adds the dialect logic on top of a core.Rotation (or any
 //     Versioner): Send serializes a message with the dialect its graph

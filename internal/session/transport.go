@@ -1,9 +1,7 @@
 package session
 
 import (
-	"fmt"
 	"io"
-	"net"
 	"sync"
 	"sync/atomic"
 
@@ -12,10 +10,10 @@ import (
 
 // Transport is the epoch-tagged framed byte layer of a session: it moves
 // already-serialized payloads over rw, stamping each outgoing frame with
-// the current epoch and surfacing the epoch of each incoming frame.
-// Applications that manage their own protocol graphs (the protocol core
-// applications) use it directly; Conn builds the dialect-aware message
-// layer on top.
+// the current epoch and surfacing the epoch of each incoming frame. Conn
+// builds the dialect-aware message layer on top of it; raw payload
+// probes (SendPayload/RecvPayload through Conn.Transport) use it
+// directly.
 //
 // Methods are safe for concurrent use: writes are serialized by one
 // writer lock, reads by one reader lock, and the epoch is read without
@@ -33,25 +31,14 @@ type Transport struct {
 	w    io.Writer
 	whdr [frame.EpochHeaderLen]byte
 
-	rmu  sync.Mutex // serializes frame reads, guards rbuf and rhdr
+	rmu  sync.Mutex // serializes frame reads, guards rhdr
 	r    io.Reader
-	rbuf []byte
 	rhdr [frame.EpochHeaderLen]byte
 }
 
 // NewTransport wraps rw in a session transport starting at epoch 0.
 func NewTransport(rw io.ReadWriter) *Transport {
-	return &Transport{w: rw, r: rw, rbuf: frame.GetBuffer(), maxLead: DefaultMaxEpochLead}
-}
-
-// Release returns the transport's internal buffers to the shared pool.
-// Call it once the transport is done (after the connection closes); the
-// transport must not be used afterwards.
-func (t *Transport) Release() {
-	t.rmu.Lock()
-	frame.PutBuffer(t.rbuf)
-	t.rbuf = nil
-	t.rmu.Unlock()
+	return &Transport{w: rw, r: rw, maxLead: DefaultMaxEpochLead}
 }
 
 // Epoch returns the current send epoch (lock-free).
@@ -68,8 +55,7 @@ func (t *Transport) SendPayload(payload []byte) error {
 }
 
 // sendPayloadAt writes one data payload tagged with an explicit epoch
-// (used by Conn, which binds the epoch to the message's graph, and by
-// ServeLoop, which answers with the request's epoch).
+// (used by Conn, which binds the epoch to the message's graph).
 func (t *Transport) sendPayloadAt(epoch uint64, payload []byte) error {
 	return t.sendFrameAt(frame.KindData, epoch, payload)
 }
@@ -96,10 +82,6 @@ func (t *Transport) sendFrameAt(kind byte, epoch uint64, payload []byte) error {
 func (t *Transport) recvFrame(buf []byte) ([]byte, uint64, byte, error) {
 	t.rmu.Lock()
 	defer t.rmu.Unlock()
-	return t.recvFrameLocked(buf)
-}
-
-func (t *Transport) recvFrameLocked(buf []byte) ([]byte, uint64, byte, error) {
 	if _, err := io.ReadFull(t.r, t.rhdr[:]); err != nil {
 		return buf, 0, 0, err
 	}
@@ -140,73 +122,5 @@ func (t *Transport) RecvPayload(buf []byte) ([]byte, uint64, error) {
 func (t *Transport) follow(epoch uint64) {
 	if cur := t.epoch.Load(); epoch > cur && epoch-cur <= t.maxLead {
 		t.Advance(epoch)
-	}
-}
-
-// Roundtrip sends a request payload and returns the response payload and
-// its epoch. The returned slice is an internal buffer valid until the
-// next Roundtrip; callers keeping the bytes must copy. This is the client
-// side of a request/response core application.
-func (t *Transport) Roundtrip(req []byte) ([]byte, uint64, error) {
-	if err := t.SendPayload(req); err != nil {
-		return nil, 0, err
-	}
-	t.rmu.Lock()
-	defer t.rmu.Unlock()
-	for {
-		out, epoch, kind, err := t.recvFrameLocked(t.rbuf[:0])
-		if err != nil {
-			return nil, 0, err
-		}
-		t.rbuf = out
-		if kind != frame.KindData {
-			continue
-		}
-		t.follow(epoch)
-		return out, epoch, nil
-	}
-}
-
-// ServeLoop is the server side of a request/response core application:
-// it reads request payloads and answers each with handle's response,
-// tagged with the request's epoch, until the stream ends or handle fails.
-// The request slice passed to handle is reused across iterations.
-func (t *Transport) ServeLoop(handle func(req []byte) ([]byte, error)) error {
-	buf := frame.GetBuffer()
-	defer func() { frame.PutBuffer(buf) }() // buf rebinds as frames grow it
-	for {
-		req, epoch, err := t.RecvPayload(buf[:0])
-		if err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-		buf = req
-		resp, err := handle(req)
-		if err != nil {
-			return fmt.Errorf("session: handle: %w", err)
-		}
-		if err := t.sendPayloadAt(epoch, resp); err != nil {
-			return err
-		}
-	}
-}
-
-// Serve accepts connections from ln until it is closed, running serve on
-// a fresh Transport per connection in its own goroutine. It factors the
-// accept loop the protocol core applications previously duplicated.
-func Serve(ln net.Listener, serve func(t *Transport)) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		go func() {
-			defer conn.Close()
-			t := NewTransport(conn)
-			defer t.Release()
-			serve(t)
-		}()
 	}
 }

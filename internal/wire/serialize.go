@@ -31,7 +31,7 @@ func SerializeAppend(m *msgtree.Message, buf []byte) ([]byte, error) {
 	if err := fill(m, m.Root); err != nil {
 		return buf, err
 	}
-	return emit(m.Root, buf)
+	return emit(m.Root, buf, nil)
 }
 
 // fill walks the instance tree and assigns every auto-filled reference
@@ -149,27 +149,45 @@ func sizeOf(v *msgtree.Value) (int, error) {
 // region normally and then reverses it in place, so no scratch buffer is
 // needed; nested reversals compose because each inner region is complete
 // (and already reversed) before the outer reversal runs.
-func emit(v *msgtree.Value, out []byte) ([]byte, error) {
+//
+// When spans is non-nil, emit also records the span of every terminal
+// (SerializeWithSpans); the hot path passes nil. A reversed region
+// mirrors the spans it appended: a field at [s,e) inside the region
+// [start,end) lands at [start+end-e, start+end-s).
+func emit(v *msgtree.Value, out []byte, spans *[]Span) ([]byte, error) {
 	if v.Node.Reversed {
-		start := len(out)
-		out, err := emitInner(v, out)
+		start, first := len(out), 0
+		if spans != nil {
+			first = len(*spans)
+		}
+		out, err := emitInner(v, out, spans)
 		if err != nil {
 			return out, err
 		}
-		for i, j := start, len(out)-1; i < j; i, j = i+1, j-1 {
+		end := len(out)
+		for i, j := start, end-1; i < j; i, j = i+1, j-1 {
 			out[i], out[j] = out[j], out[i]
+		}
+		if spans != nil {
+			for i := first; i < len(*spans); i++ {
+				sp := &(*spans)[i]
+				sp.Start, sp.End = start+end-sp.End, start+end-sp.Start
+			}
 		}
 		return out, nil
 	}
-	return emitInner(v, out)
+	return emitInner(v, out, spans)
 }
 
-func emitInner(v *msgtree.Value, out []byte) ([]byte, error) {
+func emitInner(v *msgtree.Value, out []byte, spans *[]Span) ([]byte, error) {
 	n := v.Node
 	switch n.Kind {
 	case graph.Terminal:
 		if !v.IsSet() {
 			return out, fmt.Errorf("serialize: field %q not set", n.Name)
+		}
+		if spans != nil {
+			*spans = append(*spans, Span{Name: n.Name, Start: len(out), End: len(out) + len(v.Bytes)})
 		}
 		out = append(out, v.Bytes...)
 		if n.Boundary.Kind == graph.Delimited {
@@ -180,11 +198,11 @@ func emitInner(v *msgtree.Value, out []byte) ([]byte, error) {
 		if !v.Present {
 			return out, nil
 		}
-		return emit(v.Kids[0], out)
+		return emit(v.Kids[0], out, spans)
 	case graph.Sequence, graph.Repetition, graph.Tabular:
 		var err error
 		for _, k := range v.Kids {
-			if out, err = emit(k, out); err != nil {
+			if out, err = emit(k, out, spans); err != nil {
 				return out, err
 			}
 		}

@@ -1,10 +1,8 @@
 package wire
 
 import (
-	"bytes"
 	"fmt"
 
-	"protoobf/internal/graph"
 	"protoobf/internal/msgtree"
 )
 
@@ -29,73 +27,10 @@ func SerializeWithSpans(m *msgtree.Message) ([]byte, []Span, error) {
 	if err := fill(m, m.Root); err != nil {
 		return nil, nil, err
 	}
-	var buf bytes.Buffer
 	var spans []Span
-	if err := emitSpans(m.Root, &buf, &spans); err != nil {
+	out, err := emit(m.Root, nil, &spans)
+	if err != nil {
 		return nil, nil, err
 	}
-	return buf.Bytes(), spans, nil
-}
-
-func emitSpans(v *msgtree.Value, out *bytes.Buffer, spans *[]Span) error {
-	if v.Node.Reversed {
-		var sub bytes.Buffer
-		var subSpans []Span
-		if err := emitSpansInner(v, &sub, &subSpans); err != nil {
-			return err
-		}
-		base := out.Len()
-		b := sub.Bytes()
-		for i := len(b) - 1; i >= 0; i-- {
-			out.WriteByte(b[i])
-		}
-		// A field at [s,e) within the region lands at mirrored offsets.
-		for _, sp := range subSpans {
-			*spans = append(*spans, Span{
-				Name:  sp.Name,
-				Start: base + len(b) - sp.End,
-				End:   base + len(b) - sp.Start,
-			})
-		}
-		return nil
-	}
-	return emitSpansInner(v, out, spans)
-}
-
-func emitSpansInner(v *msgtree.Value, out *bytes.Buffer, spans *[]Span) error {
-	n := v.Node
-	switch n.Kind {
-	case graph.Terminal:
-		start := out.Len()
-		if !v.IsSet() {
-			return fmt.Errorf("serialize: field %q not set", n.Name)
-		}
-		out.Write(v.Bytes)
-		if n.Boundary.Kind == graph.Delimited {
-			out.Write(n.Boundary.Delim)
-		}
-		end := out.Len()
-		if n.Boundary.Kind == graph.Delimited {
-			end -= len(n.Boundary.Delim)
-		}
-		*spans = append(*spans, Span{Name: n.Name, Start: start, End: end})
-		return nil
-	case graph.Optional:
-		if !v.Present {
-			return nil
-		}
-		return emitSpans(v.Kids[0], out, spans)
-	case graph.Sequence, graph.Repetition, graph.Tabular:
-		for _, k := range v.Kids {
-			if err := emitSpans(k, out, spans); err != nil {
-				return err
-			}
-		}
-		if n.Boundary.Kind == graph.Delimited {
-			out.Write(n.Boundary.Delim)
-		}
-		return nil
-	default:
-		return fmt.Errorf("serialize: unknown node kind %v", n.Kind)
-	}
+	return out, spans, nil
 }
