@@ -409,7 +409,7 @@ func pingPair(tb testing.TB, perNode int) (a, peer *protoobf.Session, m *protoob
 func TestRoundTripAllocBytes(t *testing.T) {
 	const (
 		trips = 500
-		limit = 2048
+		limit = 990 // 792 B measured, plus 25%
 	)
 	a, peer, m := pingPair(t, 2)
 	trip := func() {
@@ -432,6 +432,39 @@ func TestRoundTripAllocBytes(t *testing.T) {
 	if per := (after.TotalAlloc - before.TotalAlloc) / trips; per > limit {
 		t.Errorf("round trip allocates %d B, want <= %d", per, limit)
 	}
+}
+
+// TestNewMessageBuildsNoTree bounds the heap bytes of a warm
+// Session.NewMessage that is never filled: the message and its rng
+// (88 B), with no skeleton tree of the dialect (about 0.7 KiB at
+// perNode 2).
+func TestNewMessageBuildsNoTree(t *testing.T) {
+	const (
+		msgs  = 500
+		limit = 128
+	)
+	a, _, _ := pingPair(t, 2)
+	var keep *protoobf.Message
+	newMessage := func() {
+		m, err := a.NewMessage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep = m
+	}
+	for i := 0; i < 10; i++ {
+		newMessage() // warm the dialect cache
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < msgs; i++ {
+		newMessage()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / msgs; per > limit {
+		t.Errorf("NewMessage allocates %d B, want <= %d", per, limit)
+	}
+	runtime.KeepAlive(keep)
 }
 
 // BenchmarkEndpointSharedSessions measures the many-sessions-one-family

@@ -146,17 +146,21 @@ func TestEndpointConcurrentSessions(t *testing.T) {
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	// Each finished round ticks, and epoch time passes with the traffic:
+	// one interval every 10 ticks, 30 in all.
+	tick := make(chan struct{}, pairs*rounds)
 	wg.Add(1)
-	go func() { // epoch time passes while traffic flows
+	go func() {
 		defer wg.Done()
-		for i := 0; i < 30; i++ {
+		for i := 1; i <= 300; i++ {
 			select {
 			case <-stop:
 				return
-			default:
+			case <-tick:
 			}
-			clock.advance(interval)
-			time.Sleep(time.Millisecond)
+			if i%10 == 0 {
+				clock.advance(interval)
+			}
 		}
 	}()
 
@@ -233,6 +237,7 @@ func TestEndpointConcurrentSessions(t *testing.T) {
 					errs <- fmt.Errorf("pair %d client recv: %w", p, err)
 					return
 				}
+				tick <- struct{}{}
 			}
 			errs <- nil
 		}(p, sc, sv)

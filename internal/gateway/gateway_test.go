@@ -371,7 +371,8 @@ func TestGatewayChurn(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errs := make(chan error, sessions)
-	spent := make(chan []byte, sessions) // one used ticket per worker for the replay probe
+	spent := make(chan []byte, sessions)             // one used ticket per worker for the replay probe
+	progress := make(chan struct{}, sessions*cycles) // one per finished cycle
 	for i := 0; i < sessions; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -421,18 +422,28 @@ func TestGatewayChurn(t *testing.T) {
 					errs <- fmt.Errorf("worker %d cycle %d post-migration trip: %w", i, c, err)
 					return
 				}
+				progress <- struct{}{}
 			}
 			sess.Close()
 			spent <- kept
 		}(i)
 	}
 
-	// Rotate the dialect schedule while the churn runs.
+	// Rotate the dialect schedule while the churn runs: one step each
+	// time another half of the workers' count of cycles has finished,
+	// so all three land before the last cycle ends.
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
 	for e := 0; e < 3; e++ {
-		time.Sleep(20 * time.Millisecond)
+		for k := 0; k < sessions/2; k++ {
+			select {
+			case <-progress:
+			case <-done:
+			}
+		}
 		clock.advance(time.Minute)
 	}
-	wg.Wait()
+	<-done
 	close(errs)
 	close(spent)
 	for err := range errs {

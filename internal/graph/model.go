@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Kind is the type of a message format graph node (paper §V-A).
@@ -383,6 +385,10 @@ type Node struct {
 	// the latest Validate. They sit in the struct's padding, so
 	// Validate indexes a graph without a per-node allocation.
 	pos, lastLeaf int32
+	// ref and halves index the node's entries in its graph's Plan, plus
+	// one (0: none). Rebuild clears them with the plan. They fill the struct
+	// out to its 288-byte size class, so nodes cost the same memory.
+	ref, halves int32
 }
 
 // IsLeaf reports whether the node is a Terminal.
@@ -458,6 +464,15 @@ func FindRoleHolder(n *Node, role Role) *Node {
 // original node with split roles, possibly wrapped by later group
 // transformations. Accessors pair their items by index.
 func (n *Node) IsSplitPair() bool {
+	// The holders decide only for a RoleWhole Sequence without Pair.
+	if n.Kind != Sequence || n.Comb != nil || n.Pair != nil || n.Origin.Role != RoleWhole {
+		return n.isSplitPair(nil, nil)
+	}
+	return n.isSplitPair(FindRoleHolder(n, RoleSplitLeft), FindRoleHolder(n, RoleSplitRight))
+}
+
+// isSplitPair is IsSplitPair given n's split-half holders l and r.
+func (n *Node) isSplitPair(l, r *Node) bool {
 	if n.Kind != Sequence || n.Comb != nil {
 		return false
 	}
@@ -466,15 +481,10 @@ func (n *Node) IsSplitPair() bool {
 	}
 	// Only the pair Sequence itself (RoleWhole) qualifies — RoleGroup
 	// wrappers around a pair must stay transparent.
-	if n.Origin.Role != RoleWhole {
-		return false
-	}
-	l := FindRoleHolder(n, RoleSplitLeft)
-	r := FindRoleHolder(n, RoleSplitRight)
 	container := func(c *Node) bool {
 		return c != nil && (c.Kind == Tabular || c.Kind == Repetition)
 	}
-	return container(l) && container(r) &&
+	return n.Origin.Role == RoleWhole && container(l) && container(r) &&
 		l.Origin.Name == n.Origin.Name && r.Origin.Name == n.Origin.Name
 }
 
@@ -507,6 +517,10 @@ type Graph struct {
 
 	// nextID provides fresh unique suffixes for synthetic node names.
 	nextID int
+
+	// plan is the access plan, derived on first use (see Plan).
+	plan   atomic.Pointer[Plan]
+	planMu sync.Mutex
 }
 
 // New creates a graph with the given root. Origin annotations are
@@ -585,8 +599,15 @@ func (g *Graph) FindOriginal(name string) *Node {
 	return found
 }
 
-// Rebuild restores parent pointers after structural edits.
+// Rebuild restores parent pointers after structural edits and drops
+// the access plan derived from the old structure.
 func (g *Graph) Rebuild() {
+	if g.plan.Swap(nil) != nil && g.Root != nil {
+		walk(g.Root, func(n *Node) bool {
+			n.ref, n.halves = 0, 0
+			return true
+		})
+	}
 	if g.Root != nil {
 		g.Root.Parent = nil
 		adopt(g.Root)

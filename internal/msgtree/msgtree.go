@@ -18,10 +18,12 @@ import (
 	"protoobf/internal/rng"
 )
 
-// Value is one node of a message AST. It mirrors a graph.Node.
+// Value is one node of a message AST. It mirrors a graph.Node, and
+// its depth in the instance tree is the node's depth in the graph. It
+// holds no parent pointer: a reference resolves through the graph's
+// Plan from the ancestors its walker keeps open (Ref).
 type Value struct {
-	Node   *graph.Node
-	Parent *Value
+	Node *graph.Node
 	// Bytes holds the wire-level (post-transformation) bytes of a
 	// Terminal node.
 	Bytes []byte
@@ -36,33 +38,49 @@ type Value struct {
 
 // Message is an AST under construction or resulting from a parse.
 type Message struct {
-	G    *graph.Graph
-	Root *Value
-	Rng  *rng.R
+	G   *graph.Graph
+	Rng *rng.R
+	// root is built on first use (Tree).
+	root *Value
 }
 
-// New creates an empty message instance for graph g. The random source is
-// used by Split* setters (a fresh split for every message, which is what
-// gives "various representations of the same message", paper table II)
-// and to fill padding fields.
+// New creates an empty message instance for graph g. It builds no tree:
+// the skeleton appears when the message is first filled, serialized or
+// snapshotted, so a message that is never filled costs only itself. The
+// random source is used by Split* setters (a fresh split for every
+// message, which is what gives "various representations of the same
+// message", paper table II) and to fill padding fields.
 func New(g *graph.Graph, r *rng.R) *Message {
-	m := &Message{G: g, Rng: r}
-	m.Root = m.instantiate(g.Root, nil)
-	return m
+	return &Message{G: g, Rng: r}
+}
+
+// Parsed wraps the instance tree a parser rebuilt for graph g. The rng
+// is only used if the message is modified and re-serialized.
+func Parsed(g *graph.Graph, r *rng.R, root *Value) *Message {
+	return &Message{G: g, Rng: r, root: root}
+}
+
+// Tree returns the root of the message's instance tree, building the
+// skeleton on the first call.
+func (m *Message) Tree() *Value {
+	if m.root == nil {
+		m.root = m.instantiate(m.G.Root)
+	}
+	return m.root
 }
 
 // instantiate builds the skeleton Value for node n.
-func (m *Message) instantiate(n *graph.Node, parent *Value) *Value {
+func (m *Message) instantiate(n *graph.Node) *Value {
 	v := &Value{}
-	m.fill(v, n, parent)
+	m.fill(v, n)
 	return v
 }
 
 // fill builds the skeleton of node n in the slot v. A Sequence's
 // children share one slab, so a sequence costs two allocations however
 // many children it has.
-func (m *Message) fill(v *Value, n *graph.Node, parent *Value) {
-	*v = Value{Node: n, Parent: parent}
+func (m *Message) fill(v *Value, n *graph.Node) {
+	*v = Value{Node: n}
 	switch n.Kind {
 	case graph.Terminal:
 		if n.Origin.Role == graph.RolePad {
@@ -72,7 +90,7 @@ func (m *Message) fill(v *Value, n *graph.Node, parent *Value) {
 	case graph.Sequence:
 		v.Kids = Slab(len(n.Children))
 		for i, c := range n.Children {
-			m.fill(v.Kids[i], c, v)
+			m.fill(v.Kids[i], c)
 		}
 	case graph.Optional:
 		// Child instantiated by Enable.
@@ -103,47 +121,17 @@ func (v *Value) SetWire(b []byte) {
 	v.set = true
 }
 
-// FindRef resolves a reference to the original field name from the
-// position of `from` in the instance tree. It climbs the enclosing scopes
-// from innermost to outermost; in the first whose graph subtree holds the
-// name's carrier, it follows the graph path down the instance. Neither
-// step enters Repetition/Tabular items, so a reference inside an item
-// resolves within that item or in scopes enclosing the whole repetition,
-// never in sibling items. The result is nil when no scope holds the
-// carrier or its instance is not built or parsed yet.
-func FindRef(from *Value, name string) *Value {
-	var below *graph.Node // the child of cur the climb came from
-	for cur := from; cur != nil; below, cur = cur.Node, cur.Parent {
-		if t := holder(cur.Node, name, true, below); t != nil {
-			return reach(cur, t)
-		}
-	}
-	return nil
-}
-
-// holder returns the node of n's subtree (n included) that carries the
-// original name: its RoleWhole node or, when refs is set, also a
-// synthetic RoleLengthOf field. This is the carrier graph.Validate checks
-// references against. The walk does not enter Repetition/Tabular items,
-// and it stops at n's child stop: a reference target parses before its
-// dependent (graph.Validate), so it is never in or after the child that
-// encloses the dependent.
-func holder(n *graph.Node, name string, refs bool, stop *graph.Node) *graph.Node {
-	if n.Origin.Name == name && (n.Origin.Role == graph.RoleWhole || refs && n.Origin.Role == graph.RoleLengthOf) {
-		return n
-	}
-	if n.Kind == graph.Repetition || n.Kind == graph.Tabular {
+// Ref returns the instance of the carrier that node n's Length, Counter
+// or Optional reference names, or nil when n has no reference or the
+// carrier is not built or parsed yet. open holds the instances of n's
+// ancestors, root first (open[i] at graph depth i), as the parser and
+// the serializer keep them; the plan's scope depth indexes it directly.
+func Ref(p *graph.Plan, open []*Value, n *graph.Node) *Value {
+	r := p.Ref(n)
+	if r.Target == nil || r.Depth >= len(open) {
 		return nil
 	}
-	for _, c := range n.Children {
-		if c == stop {
-			break
-		}
-		if t := holder(c, name, refs, nil); t != nil {
-			return t
-		}
-	}
-	return nil
+	return reach(open[r.Depth], r.Target)
 }
 
 // reach returns the instance of graph node t under v by following t's
@@ -188,7 +176,7 @@ type Scope struct {
 
 // Scope returns the root scope of the message.
 func (m *Message) Scope() *Scope {
-	return &Scope{m: m, roots: []*Value{m.Root}}
+	return &Scope{m: m, roots: []*Value{m.Tree()}}
 }
 
 // locate finds the instance node of the original field name within the
@@ -196,7 +184,7 @@ func (m *Message) Scope() *Scope {
 // items.
 func (s *Scope) locate(name string) (*Value, error) {
 	for _, r := range s.roots {
-		if v := reach(r, holder(r.Node, name, false, nil)); v != nil {
+		if v := reach(r, graph.Carrier(r.Node, name)); v != nil {
 			return v, nil
 		}
 	}
@@ -260,7 +248,7 @@ func (m *Message) SetNodeValue(iv *Value, v graph.Val) error {
 	if err != nil {
 		return fmt.Errorf("field %q: %w", n.Origin.Name, err)
 	}
-	lv, rv := splitHalves(iv)
+	lv, rv := m.splitHalves(iv)
 	if lv == nil || rv == nil {
 		return fmt.Errorf("field %q: split halves missing", n.Origin.Name)
 	}
@@ -288,7 +276,7 @@ func (m *Message) GetNodeValue(iv *Value) (graph.Val, error) {
 		}
 		tv = v
 	} else {
-		lv, rv := splitHalves(iv)
+		lv, rv := m.splitHalves(iv)
 		if lv == nil || rv == nil {
 			return graph.Val{}, fmt.Errorf("field %q: split halves missing", n.Origin.Name)
 		}
@@ -321,11 +309,12 @@ func (m *Message) GetNodeValue(iv *Value) (graph.Val, error) {
 }
 
 // splitHalves returns the instance nodes holding the left and right
-// halves of a split node, identified by role (position-independent, since
-// ChildMove may have swapped them, and wrapper-transparent).
-func splitHalves(iv *Value) (l, r *Value) {
-	return reach(iv, graph.FindRoleHolder(iv.Node, graph.RoleSplitLeft)),
-		reach(iv, graph.FindRoleHolder(iv.Node, graph.RoleSplitRight))
+// halves of a split value or pair. The plan finds the halves by role
+// (position-independent, since ChildMove may have swapped them, and
+// wrapper-transparent).
+func (m *Message) splitHalves(iv *Value) (l, r *Value) {
+	ln, rn := m.G.Plan().Halves(iv.Node)
+	return reach(iv, ln), reach(iv, rn)
 }
 
 // --- public accessor API -------------------------------------------------
@@ -401,7 +390,7 @@ func (s *Scope) Enable(name string) (*Scope, error) {
 	}
 	if !iv.Present {
 		iv.Present = true
-		iv.Kids = []*Value{s.m.instantiate(iv.Node.Child(), iv)}
+		iv.Kids = []*Value{s.m.instantiate(iv.Node.Child())}
 	}
 	return &Scope{m: s.m, roots: iv.Kids}, nil
 }
@@ -447,28 +436,38 @@ func (m *Message) addItem(iv *Value) (*Scope, error) {
 	n := iv.Node
 	switch {
 	case n.Kind == graph.Repetition || n.Kind == graph.Tabular:
-		item := m.instantiate(n.Child(), iv)
+		item := m.instantiate(n.Child())
 		iv.Kids = append(iv.Kids, item)
 		return &Scope{m: m, roots: []*Value{item}}, nil
-	case n.IsSplitPair():
+	case m.isSplitPair(n):
 		// One logical item spans both halves (which may sit inside
 		// RoleGroup wrappers added by later transformations).
-		var roots []*Value
-		for _, role := range []graph.Role{graph.RoleSplitLeft, graph.RoleSplitRight} {
-			half := reach(iv, graph.FindRoleHolder(n, role))
-			if half == nil {
-				return nil, fmt.Errorf("field %q: split half %v missing", n.Origin.Name, role)
-			}
-			sub, err := m.addItem(half)
-			if err != nil {
-				return nil, err
-			}
-			roots = append(roots, sub.roots...)
+		l, r := m.splitHalves(iv)
+		if l == nil || r == nil {
+			return nil, fmt.Errorf("field %q: split halves missing", n.Origin.Name)
 		}
-		return &Scope{m: m, roots: roots}, nil
+		ls, err := m.addItem(l)
+		if err != nil {
+			return nil, err
+		}
+		rs, err := m.addItem(r)
+		if err != nil {
+			return nil, err
+		}
+		return &Scope{m: m, roots: append(ls.roots, rs.roots...)}, nil
 	default:
 		return nil, fmt.Errorf("field %q is not repeated", n.Origin.Name)
 	}
+}
+
+// isSplitPair reports n.IsSplitPair() from the plan: a Sequence without
+// Comb has halves exactly when it is a TabSplit/RepSplit pair.
+func (m *Message) isSplitPair(n *graph.Node) bool {
+	if n.Kind != graph.Sequence || n.Comb != nil {
+		return false
+	}
+	l, _ := m.G.Plan().Halves(n)
+	return l != nil
 }
 
 // Items returns one scope per item of a Repetition or Tabular.
@@ -489,25 +488,25 @@ func (m *Message) itemScopes(iv *Value) ([]*Scope, error) {
 			out[i] = &Scope{m: m, roots: []*Value{k}}
 		}
 		return out, nil
-	case n.IsSplitPair():
-		var halves [][]*Scope
-		for _, role := range []graph.Role{graph.RoleSplitLeft, graph.RoleSplitRight} {
-			half := reach(iv, graph.FindRoleHolder(n, role))
-			if half == nil {
-				return nil, fmt.Errorf("field %q: split half %v missing", n.Origin.Name, role)
-			}
-			hs, err := m.itemScopes(half)
-			if err != nil {
-				return nil, err
-			}
-			halves = append(halves, hs)
+	case m.isSplitPair(n):
+		l, r := m.splitHalves(iv)
+		if l == nil || r == nil {
+			return nil, fmt.Errorf("field %q: split halves missing", n.Origin.Name)
 		}
-		if len(halves) != 2 || len(halves[0]) != len(halves[1]) {
+		ls, err := m.itemScopes(l)
+		if err != nil {
+			return nil, err
+		}
+		rs, err := m.itemScopes(r)
+		if err != nil {
+			return nil, err
+		}
+		if len(ls) != len(rs) {
 			return nil, fmt.Errorf("field %q: split halves have mismatched item counts", n.Origin.Name)
 		}
-		out := make([]*Scope, len(halves[0]))
+		out := make([]*Scope, len(ls))
 		for i := range out {
-			out[i] = &Scope{m: m, roots: append(append([]*Value{}, halves[0][i].roots...), halves[1][i].roots...)}
+			out[i] = &Scope{m: m, roots: append(append([]*Value{}, ls[i].roots...), rs[i].roots...)}
 		}
 		return out, nil
 	default:

@@ -293,17 +293,30 @@ root seq m end {
 	if err := row2.SetString("rv", "x"); err != nil {
 		t.Fatal(err)
 	}
-	// FindRef from row2's rv must find row2's rl, not row1's.
+	// The plan resolves rv's reference in its own row: the row's scope
+	// sits at depth 2 (message, rows, row), so from row 2's open
+	// ancestors it reaches row 2's rl, not row 1's.
 	rows, _ := s.Items("rows")
-	rv2, err := rows[1].locate("rv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := FindRef(rv2, "rl")
-	if ref == nil {
-		t.Fatal("rl not found")
-	}
-	if ref.Parent != rv2.Parent {
-		t.Error("FindRef crossed into a sibling item")
+	root := m.Tree()
+	reps := root.Kids[0]
+	for i, row := range rows {
+		rv, err := row.locate("rv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := row.locate("rl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := g.Plan().Ref(rv.Node).Depth; d != 2 {
+			t.Fatalf("rv's reference resolves at depth %d, want 2", d)
+		}
+		ref := Ref(g.Plan(), []*Value{root, reps, reps.Kids[i]}, rv.Node)
+		if ref == nil {
+			t.Fatalf("row %d: rl not found", i+1)
+		}
+		if ref != want {
+			t.Errorf("row %d: the reference crossed into a sibling item", i+1)
+		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // the round-trip property tests rely on.
 func (m *Message) Snapshot() (map[string]string, error) {
 	out := make(map[string]string)
-	if err := m.snapWalk(m.Root, "", out); err != nil {
+	if err := m.snapWalk(m.Tree(), "", out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -56,8 +56,8 @@ func (m *Message) snapWalk(v *Value, prefix string, out map[string]string) error
 			}
 		}
 		return nil
-	case (n.Kind == graph.Repetition || n.Kind == graph.Tabular) && !underSplitPair(n),
-		n.IsSplitPair():
+	case (n.Kind == graph.Repetition || n.Kind == graph.Tabular) && !m.underSplitPair(n),
+		m.isSplitPair(n):
 		items, err := m.itemScopes(v)
 		if err != nil {
 			return err
@@ -85,8 +85,8 @@ func (m *Message) snapWalk(v *Value, prefix string, out map[string]string) error
 
 // underSplitPair reports whether n is one half of a TabSplit/RepSplit
 // pair (handled by the pair Sequence, not individually).
-func underSplitPair(n *graph.Node) bool {
-	return n.Parent != nil && n.Parent.IsSplitPair()
+func (m *Message) underSplitPair(n *graph.Node) bool {
+	return n.Parent != nil && m.isSplitPair(n.Parent)
 }
 
 // FormatSnapshot renders a snapshot deterministically for debugging.

@@ -2,6 +2,7 @@ package session
 
 import (
 	"errors"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -541,10 +542,13 @@ func TestPartitionRecoveryWhileBlocked(t *testing.T) {
 	clockA := sched.NewFakeClock(schedGenesis)
 	clockB := sched.NewFakeClock(schedGenesis)
 	interval := time.Minute
-	a, b, err := Pair(rotA, rotB,
-		Options{Schedule: sched.New(schedGenesis, interval).WithClock(clockA.Now)},
-		Options{Schedule: sched.New(schedGenesis, interval).WithClock(clockB.Now)},
-	)
+	ca, cb := newPipe()
+	a, err := NewConn(ca, rotA, Options{Schedule: sched.New(schedGenesis, interval).WithClock(clockA.Now)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reading := &readSignal{ReadWriter: cb, entered: make(chan struct{})}
+	b, err := NewConn(reading, rotB, Options{Schedule: sched.New(schedGenesis, interval).WithClock(clockB.Now)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +559,7 @@ func TestPartitionRecoveryWhileBlocked(t *testing.T) {
 		_, err := b.Recv()
 		got <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let B reach the blocking read
+	<-reading.entered // B has reached the blocking read
 
 	jump := 2*DefaultMaxEpochLead + 3
 	clockA.Advance(time.Duration(jump) * interval)
@@ -767,6 +771,19 @@ func TestVolumeRekey(t *testing.T) {
 }
 
 // brokenEntropy simulates an unreadable system entropy source.
+// readSignal closes entered when its first Read begins, which tells a
+// test that a receiver has reached the blocking read.
+type readSignal struct {
+	io.ReadWriter
+	entered chan struct{}
+	once    sync.Once
+}
+
+func (r *readSignal) Read(p []byte) (int, error) {
+	r.once.Do(func() { close(r.entered) })
+	return r.ReadWriter.Read(p)
+}
+
 type brokenEntropy struct{}
 
 func (brokenEntropy) Read([]byte) (int, error) {

@@ -28,48 +28,69 @@ func perr(n *graph.Node, pos int, format string, args ...any) error {
 // be the same (transformed) graph that serialized the message. The rng is
 // only used if the resulting message is modified and re-serialized.
 func Parse(g *graph.Graph, data []byte, r *rng.R) (*msgtree.Message, error) {
-	m := &msgtree.Message{G: g, Rng: r, Root: &msgtree.Value{}}
-	p := &parser{m: m}
-	pos, err := p.nodeAt(m.Root, g.Root, nil, data, 0, len(data))
+	root := &msgtree.Value{}
+	plan := g.Plan()
+	p := &parser{m: msgtree.Parsed(g, r, root), plan: plan, open: make([]*msgtree.Value, 0, plan.Height())}
+	pos, err := p.nodeAt(root, g.Root, data, 0, len(data))
 	if err != nil {
 		return nil, err
 	}
 	if pos != len(data) {
 		return nil, perr(g.Root, pos, "%d trailing bytes", len(data)-pos)
 	}
-	return m, nil
+	return p.m, nil
 }
 
 type parser struct {
-	m *msgtree.Message
+	m    *msgtree.Message
+	plan *graph.Plan
+	// open holds the instances of the ancestors of the node being
+	// parsed, root first; references resolve against it.
+	open []*msgtree.Value
+	// private is set inside a reversed region, whose bytes the parser
+	// has copied into scratch of its own.
+	private bool
 }
 
-// evalRef resolves the integer value of an original field from the
-// partially built instance tree, starting at the currently open node.
-func (p *parser) evalRef(open *msgtree.Value, name string, n *graph.Node, pos int) (uint64, error) {
-	target := msgtree.FindRef(open, name)
+// enter and leave bracket the parse of a container's children.
+func (p *parser) enter(v *msgtree.Value) { p.open = append(p.open, v) }
+func (p *parser) leave()                 { p.open = p.open[:len(p.open)-1] }
+
+// ref resolves the value of the field n's reference names from the
+// partially built instance tree.
+func (p *parser) ref(n *graph.Node, name string, pos int) (graph.Val, error) {
+	target := msgtree.Ref(p.plan, p.open, n)
 	if target == nil {
-		return 0, perr(n, pos, "reference %q not parsed yet", name)
+		return graph.Val{}, perr(n, pos, "reference %q not parsed yet", name)
 	}
 	v, err := p.m.GetNodeValue(target)
 	if err != nil {
-		return 0, perr(n, pos, "reference %q: %v", name, err)
+		return graph.Val{}, perr(n, pos, "reference %q: %v", name, err)
+	}
+	return v, nil
+}
+
+// evalRef resolves the integer value of n's Length or Counter reference.
+func (p *parser) evalRef(n *graph.Node, pos int) (uint64, error) {
+	v, err := p.ref(n, n.Boundary.Ref, pos)
+	if err != nil {
+		return 0, err
 	}
 	if v.IsBytes {
-		return 0, perr(n, pos, "reference %q holds bytes", name)
+		return 0, perr(n, pos, "reference %q holds bytes", n.Boundary.Ref)
 	}
 	return v.U, nil
 }
 
 // extent computes the byte extent of a node whose region must be known
 // before parsing its content (Reversed subtrees, RepSplit pairs).
-func (p *parser) extent(n *graph.Node, parent *msgtree.Value, data []byte, pos, end int) (int, error) {
+func (p *parser) extent(n *graph.Node, data []byte, pos, end int) (int, error) {
 	if sz, ok := graph.StaticSize(n); ok {
 		return sz, nil
 	}
 	switch n.Boundary.Kind {
 	case graph.Length:
-		l, err := p.evalRef(parent, n.Boundary.Ref, n, pos)
+		l, err := p.evalRef(n, pos)
 		if err != nil {
 			return 0, err
 		}
@@ -84,11 +105,11 @@ func (p *parser) extent(n *graph.Node, parent *msgtree.Value, data []byte, pos, 
 	}
 }
 
-// nodeAt parses one graph node from data[pos:end] into the slot v, a
-// child of parent, and returns the new cursor.
-func (p *parser) nodeAt(v *msgtree.Value, n *graph.Node, parent *msgtree.Value, data []byte, pos, end int) (int, error) {
+// nodeAt parses one graph node from data[pos:end] into the slot v and
+// returns the new cursor. p.open holds v's ancestors.
+func (p *parser) nodeAt(v *msgtree.Value, n *graph.Node, data []byte, pos, end int) (int, error) {
 	if n.Reversed {
-		ext, err := p.extent(n, parent, data, pos, end)
+		ext, err := p.extent(n, data, pos, end)
 		if err != nil {
 			return 0, err
 		}
@@ -99,7 +120,10 @@ func (p *parser) nodeAt(v *msgtree.Value, n *graph.Node, parent *msgtree.Value, 
 		for i := 0; i < ext; i++ {
 			scratch[i] = data[pos+ext-1-i]
 		}
-		sub, err := p.nodeInner(v, n, parent, scratch, 0, ext)
+		private := p.private
+		p.private = true
+		sub, err := p.nodeInner(v, n, scratch, 0, ext)
+		p.private = private
 		if err != nil {
 			return 0, err
 		}
@@ -108,15 +132,19 @@ func (p *parser) nodeAt(v *msgtree.Value, n *graph.Node, parent *msgtree.Value, 
 		}
 		return pos + ext, nil
 	}
-	return p.nodeInner(v, n, parent, data, pos, end)
+	return p.nodeInner(v, n, data, pos, end)
 }
 
-func (p *parser) nodeInner(v *msgtree.Value, n *graph.Node, parent *msgtree.Value, data []byte, pos, end int) (int, error) {
-	*v = msgtree.Value{Node: n, Parent: parent}
+func (p *parser) nodeInner(v *msgtree.Value, n *graph.Node, data []byte, pos, end int) (int, error) {
+	*v = msgtree.Value{Node: n}
+	if n.Kind == graph.Terminal {
+		return p.terminal(n, v, data, pos, end)
+	}
+	// A container's own reference resolves in a scope strictly above
+	// it, so opening its scope first does not disturb that lookup.
+	p.enter(v)
 	var err error
 	switch n.Kind {
-	case graph.Terminal:
-		pos, err = p.terminal(n, v, data, pos, end)
 	case graph.Sequence:
 		pos, err = p.sequence(n, v, data, pos, end)
 	case graph.Optional:
@@ -128,6 +156,7 @@ func (p *parser) nodeInner(v *msgtree.Value, n *graph.Node, parent *msgtree.Valu
 	default:
 		err = perr(n, pos, "unknown node kind %v", n.Kind)
 	}
+	p.leave()
 	if err != nil {
 		return 0, err
 	}
@@ -151,7 +180,7 @@ func (p *parser) terminal(n *graph.Node, v *msgtree.Value, data []byte, pos, end
 		content = data[pos : pos+idx]
 		pos += idx + len(n.Boundary.Delim)
 	case graph.Length:
-		l, err := p.evalRef(v.Parent, n.Boundary.Ref, n, pos)
+		l, err := p.evalRef(n, pos)
 		if err != nil {
 			return 0, err
 		}
@@ -169,7 +198,14 @@ func (p *parser) terminal(n *graph.Node, v *msgtree.Value, data []byte, pos, end
 	if n.MinLen > 0 && len(content) < n.MinLen {
 		return 0, perr(n, pos, "%d bytes below declared minimum %d", len(content), n.MinLen)
 	}
-	v.SetWire(append([]byte(nil), content...))
+	if p.private {
+		// A reversed region's scratch is the parser's own and is never
+		// written again; the cap keeps an append to this field off its
+		// neighbour.
+		v.SetWire(content[:len(content):len(content)])
+	} else {
+		v.SetWire(append([]byte(nil), content...))
+	}
 	return pos, nil
 }
 
@@ -181,7 +217,7 @@ func (p *parser) sequence(n *graph.Node, v *msgtree.Value, data []byte, pos, end
 	enforce := false
 	switch n.Boundary.Kind {
 	case graph.Length:
-		l, err := p.evalRef(v.Parent, n.Boundary.Ref, n, pos)
+		l, err := p.evalRef(n, pos)
 		if err != nil {
 			return 0, err
 		}
@@ -198,7 +234,7 @@ func (p *parser) sequence(n *graph.Node, v *msgtree.Value, data []byte, pos, end
 	kids := msgtree.Slab(len(n.Children))
 	v.Kids = kids[:0]
 	for i, c := range n.Children {
-		next, err := p.nodeAt(kids[i], c, v, data, pos, subEnd)
+		next, err := p.nodeAt(kids[i], c, data, pos, subEnd)
 		if err != nil {
 			return 0, err
 		}
@@ -221,7 +257,7 @@ func (p *parser) sequence(n *graph.Node, v *msgtree.Value, data []byte, pos, end
 // size and the static element sizes (the context-free language the
 // TabSplit/RepSplit transformations introduce, paper table II).
 func (p *parser) repSplitPair(n *graph.Node, v *msgtree.Value, data []byte, pos, end int) (int, error) {
-	ext, err := p.extent(n, v.Parent, data, pos, end)
+	ext, err := p.extent(n, data, pos, end)
 	if err != nil {
 		return 0, err
 	}
@@ -248,11 +284,12 @@ func (p *parser) repSplitPair(n *graph.Node, v *msgtree.Value, data []byte, pos,
 	v.Kids = halves[:0]
 	for i, half := range n.Children {
 		hv := halves[i]
-		*hv = msgtree.Value{Node: half, Parent: v}
+		*hv = msgtree.Value{Node: half}
 		items := msgtree.Slab(count)
 		hv.Kids = items[:0]
+		p.enter(hv)
 		for j, item := range items {
-			next, err := p.nodeAt(item, half.Child(), hv, data, pos, pos+sizes[i])
+			next, err := p.nodeAt(item, half.Child(), data, pos, pos+sizes[i])
 			if err != nil {
 				return 0, err
 			}
@@ -262,6 +299,7 @@ func (p *parser) repSplitPair(n *graph.Node, v *msgtree.Value, data []byte, pos,
 			hv.Kids = append(hv.Kids, item)
 			pos = next
 		}
+		p.leave()
 		v.Kids = append(v.Kids, hv)
 	}
 	return pos, nil
@@ -270,13 +308,9 @@ func (p *parser) repSplitPair(n *graph.Node, v *msgtree.Value, data []byte, pos,
 func (p *parser) optional(n *graph.Node, v *msgtree.Value, data []byte, pos, end int) (int, error) {
 	// The guard parses before the optional, so it resolves from the
 	// enclosing scope; v's own subtree is not parsed yet.
-	target := msgtree.FindRef(v.Parent, n.Cond.Ref)
-	if target == nil {
-		return 0, perr(n, pos, "presence reference %q not parsed yet", n.Cond.Ref)
-	}
-	val, err := p.m.GetNodeValue(target)
+	val, err := p.ref(n, n.Cond.Ref, pos)
 	if err != nil {
-		return 0, perr(n, pos, "presence reference %q: %v", n.Cond.Ref, err)
+		return 0, err
 	}
 	var eq bool
 	if n.Cond.IsBytes {
@@ -293,7 +327,7 @@ func (p *parser) optional(n *graph.Node, v *msgtree.Value, data []byte, pos, end
 	}
 	v.Present = true
 	kid := &msgtree.Value{}
-	next, err := p.nodeAt(kid, n.Child(), v, data, pos, end)
+	next, err := p.nodeAt(kid, n.Child(), data, pos, end)
 	if err != nil {
 		return 0, err
 	}
@@ -312,7 +346,7 @@ func (p *parser) repetition(n *graph.Node, v *msgtree.Value, data []byte, pos, e
 				return 0, perr(n, pos, "unterminated repetition (terminator %q)", n.Boundary.Delim)
 			}
 			item := &msgtree.Value{}
-			next, err := p.nodeAt(item, n.Child(), v, data, pos, end)
+			next, err := p.nodeAt(item, n.Child(), data, pos, end)
 			if err != nil {
 				return 0, err
 			}
@@ -325,7 +359,7 @@ func (p *parser) repetition(n *graph.Node, v *msgtree.Value, data []byte, pos, e
 	case graph.End, graph.Length:
 		subEnd := end
 		if n.Boundary.Kind == graph.Length {
-			l, err := p.evalRef(v.Parent, n.Boundary.Ref, n, pos)
+			l, err := p.evalRef(n, pos)
 			if err != nil {
 				return 0, err
 			}
@@ -336,7 +370,7 @@ func (p *parser) repetition(n *graph.Node, v *msgtree.Value, data []byte, pos, e
 		}
 		for pos < subEnd {
 			item := &msgtree.Value{}
-			next, err := p.nodeAt(item, n.Child(), v, data, pos, subEnd)
+			next, err := p.nodeAt(item, n.Child(), data, pos, subEnd)
 			if err != nil {
 				return 0, err
 			}
@@ -356,7 +390,7 @@ func (p *parser) repetition(n *graph.Node, v *msgtree.Value, data []byte, pos, e
 }
 
 func (p *parser) tabular(n *graph.Node, v *msgtree.Value, data []byte, pos, end int) (int, error) {
-	count, err := p.evalRef(v.Parent, n.Boundary.Ref, n, pos)
+	count, err := p.evalRef(n, pos)
 	if err != nil {
 		return 0, err
 	}
@@ -368,7 +402,7 @@ func (p *parser) tabular(n *graph.Node, v *msgtree.Value, data []byte, pos, end 
 	}
 	for i := uint64(0); i < count; i++ {
 		item := &msgtree.Value{}
-		next, err := p.nodeAt(item, n.Child(), v, data, pos, end)
+		next, err := p.nodeAt(item, n.Child(), data, pos, end)
 		if err != nil {
 			return 0, err
 		}

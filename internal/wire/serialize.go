@@ -28,75 +28,96 @@ func Serialize(m *msgtree.Message) ([]byte, error) {
 // does not allocate: ReadFromEnd regions are reversed in place rather
 // than staged through a scratch buffer.
 func SerializeAppend(m *msgtree.Message, buf []byte) ([]byte, error) {
-	if err := fill(m, m.Root); err != nil {
+	root := m.Tree()
+	if err := fill(m, root); err != nil {
 		return buf, err
 	}
-	return emit(m.Root, buf, nil)
+	return emit(root, buf, nil)
 }
 
 // fill walks the instance tree and assigns every auto-filled reference
 // target: for a Length-bounded node D referencing R, R's value is the
 // content size of D; for a Tabular D, R is the item count. The pass also
-// checks RepSplit pair halves have matching item counts. The dedup map is
-// allocated lazily so messages without references serialize without it.
+// checks RepSplit pair halves have matching item counts.
 func fill(m *msgtree.Message, root *msgtree.Value) error {
-	var filled map[*msgtree.Value]uint64
-	var walk func(v *msgtree.Value) error
-	walk = func(v *msgtree.Value) error {
-		n := v.Node
-		if n.Kind == graph.Optional && !v.Present {
-			return nil
-		}
-		if ref := n.Boundary.Ref; ref != "" {
-			// The target precedes its dependent (graph.Validate), so it
-			// resolves from the enclosing scope.
-			target := msgtree.FindRef(v.Parent, ref)
-			if target == nil {
-				return fmt.Errorf("serialize: reference %q of node %q not found in scope", ref, n.Name)
-			}
-			var val uint64
-			switch n.Boundary.Kind {
-			case graph.Length:
-				sz, err := sizeOf(v)
-				if err != nil {
-					return err
-				}
-				val = uint64(sz)
-			case graph.Counter:
-				val = uint64(len(v.Kids))
-			default:
-				return fmt.Errorf("serialize: node %q has a reference with boundary %v", n.Name, n.Boundary.Kind)
-			}
-			if prev, dup := filled[target]; dup {
-				if prev != val {
-					return fmt.Errorf("serialize: reference %q filled with both %d and %d", ref, prev, val)
-				}
-			} else {
-				if filled == nil {
-					filled = make(map[*msgtree.Value]uint64)
-				}
-				filled[target] = val
-				if err := m.SetNodeValue(target, graph.UintVal(val)); err != nil {
-					return fmt.Errorf("serialize: fill %q: %w", ref, err)
-				}
-			}
-		}
-		if n.Pair != nil {
-			if len(v.Kids) != 2 {
-				return fmt.Errorf("serialize: rep-split pair %q has %d halves", n.Name, len(v.Kids))
-			}
-			if a, b := len(v.Kids[0].Kids), len(v.Kids[1].Kids); a != b {
-				return fmt.Errorf("serialize: rep-split pair %q has %d vs %d items", n.Name, a, b)
-			}
-		}
-		for _, k := range v.Kids {
-			if err := walk(k); err != nil {
-				return err
-			}
-		}
+	f := filler{m: m, plan: m.G.Plan()}
+	// The stack of open ancestors lives in this frame unless the graph
+	// is deeper than usual.
+	var stack [16]*msgtree.Value
+	open := stack[:0]
+	if h := f.plan.Height(); h > len(stack) {
+		open = make([]*msgtree.Value, 0, h)
+	}
+	return f.walk(open, root)
+}
+
+// filler is the state of one fill pass. The dedup map is allocated
+// lazily so messages without references serialize without it.
+type filler struct {
+	m      *msgtree.Message
+	plan   *graph.Plan
+	filled map[*msgtree.Value]uint64
+}
+
+// walk fills the references under v. open holds the instances of v's
+// ancestors, root first, for resolving references.
+func (f *filler) walk(open []*msgtree.Value, v *msgtree.Value) error {
+	n := v.Node
+	if n.Kind == graph.Optional && !v.Present {
 		return nil
 	}
-	return walk(root)
+	if ref := n.Boundary.Ref; ref != "" {
+		// The target precedes its dependent (graph.Validate), so it
+		// resolves from an enclosing scope.
+		target := msgtree.Ref(f.plan, open, n)
+		if target == nil {
+			return fmt.Errorf("serialize: reference %q of node %q not found in scope", ref, n.Name)
+		}
+		var val uint64
+		switch n.Boundary.Kind {
+		case graph.Length:
+			sz, err := sizeOf(v)
+			if err != nil {
+				return err
+			}
+			val = uint64(sz)
+		case graph.Counter:
+			val = uint64(len(v.Kids))
+		default:
+			return fmt.Errorf("serialize: node %q has a reference with boundary %v", n.Name, n.Boundary.Kind)
+		}
+		if prev, dup := f.filled[target]; dup {
+			if prev != val {
+				return fmt.Errorf("serialize: reference %q filled with both %d and %d", ref, prev, val)
+			}
+		} else {
+			if f.filled == nil {
+				f.filled = make(map[*msgtree.Value]uint64)
+			}
+			f.filled[target] = val
+			if err := f.m.SetNodeValue(target, graph.UintVal(val)); err != nil {
+				return fmt.Errorf("serialize: fill %q: %w", ref, err)
+			}
+		}
+	}
+	if n.Pair != nil {
+		if len(v.Kids) != 2 {
+			return fmt.Errorf("serialize: rep-split pair %q has %d halves", n.Name, len(v.Kids))
+		}
+		if a, b := len(v.Kids[0].Kids), len(v.Kids[1].Kids); a != b {
+			return fmt.Errorf("serialize: rep-split pair %q has %d vs %d items", n.Name, a, b)
+		}
+	}
+	if len(v.Kids) == 0 {
+		return nil
+	}
+	open = append(open, v)
+	for _, k := range v.Kids {
+		if err := f.walk(open, k); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // sizeOf computes the serialized content size of an instance subtree.

@@ -24,11 +24,12 @@ func (s Span) String() string { return fmt.Sprintf("%s[%d:%d]", s.Name, s.Start,
 // (ReadFromEnd) have their field offsets mapped through the reversal, so
 // the spans are exact even under nested ReadFromEnd transformations.
 func SerializeWithSpans(m *msgtree.Message) ([]byte, []Span, error) {
-	if err := fill(m, m.Root); err != nil {
+	root := m.Tree()
+	if err := fill(m, root); err != nil {
 		return nil, nil, err
 	}
 	var spans []Span
-	out, err := emit(m.Root, nil, &spans)
+	out, err := emit(root, nil, &spans)
 	if err != nil {
 		return nil, nil, err
 	}
