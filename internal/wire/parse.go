@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"protoobf/internal/graph"
 	"protoobf/internal/msgtree"
@@ -116,9 +117,18 @@ func (p *parser) nodeAt(v *msgtree.Value, n *graph.Node, data []byte, pos, end i
 		if pos+ext > end {
 			return 0, perr(n, pos, "reversed region of %d bytes exceeds remaining %d", ext, end-pos)
 		}
-		scratch := make([]byte, ext)
-		for i := 0; i < ext; i++ {
-			scratch[i] = data[pos+ext-1-i]
+		var scratch []byte
+		if p.private {
+			// Inside a reversed region the bytes are already the
+			// parser's own, and only this node reads this range of
+			// them, so it is reversed in place.
+			scratch = data[pos : pos+ext]
+			slices.Reverse(scratch)
+		} else {
+			scratch = make([]byte, ext)
+			for i := 0; i < ext; i++ {
+				scratch[i] = data[pos+ext-1-i]
+			}
 		}
 		private := p.private
 		p.private = true
@@ -199,9 +209,10 @@ func (p *parser) terminal(n *graph.Node, v *msgtree.Value, data []byte, pos, end
 		return 0, perr(n, pos, "%d bytes below declared minimum %d", len(content), n.MinLen)
 	}
 	if p.private {
-		// A reversed region's scratch is the parser's own and is never
-		// written again; the cap keeps an append to this field off its
-		// neighbour.
+		// A reversed region's scratch is the parser's own; a region
+		// nested in it reverses only bytes not parsed yet, so these are
+		// never written again. The cap keeps an append to this field off
+		// its neighbour.
 		v.SetWire(content[:len(content):len(content)])
 	} else {
 		v.SetWire(append([]byte(nil), content...))
